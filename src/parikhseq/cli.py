@@ -28,8 +28,8 @@ from .minors import (
     verify_witness,
     witness_text,
 )
-from .parikh import ParikhContext, ParikhFold
-from .seqmat import SeqFold, block_dim, seq_matrix, seq_matrix_direct
+from .parikh import ParikhContext, ParikhFold, parikh_matrix_direct
+from .seqmat import SeqFold, seq_matrix, seq_matrix_direct
 from .words import Alphabet, GapPattern, SYMBOL_CHARS, PatternError, parse_word
 
 # buffered words up to these lengths are cross-checked against the direct
@@ -67,6 +67,18 @@ def _word_input(args) -> tuple[str | None, Iterable[str]]:
     return parse_word(word), word
 
 
+def _buffered_word(args) -> str:
+    """The whole word in memory, whatever its source."""
+    word, letters = _word_input(args)
+    return "".join(letters) if word is None else word
+
+
+def _at_least(value: int, minimum: int, flag: str) -> None:
+    """Reject a count below its minimum as a usage error (exit 2)."""
+    if value < minimum:
+        raise ValueError(f"{flag} must be at least {minimum}, got {value}")
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.format == "json":
         print(json.dumps(payload, indent=2))
@@ -75,18 +87,8 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-def _matrix_payload(matrix: IntMatrix) -> dict:
-    return matrix.to_json_dict()
-
-
-def _matrix_lines(matrix: IntMatrix) -> list[str]:
-    return str(matrix).splitlines()
-
-
 def cmd_count(args) -> int:
-    word, letters = _word_input(args)
-    if word is None:
-        word = "".join(letters)
+    word = _buffered_word(args)
     if args.subword is not None:
         value = count_subword(word, parse_word(args.subword))
     elif args.factor is not None:
@@ -99,88 +101,64 @@ def cmd_count(args) -> int:
 
 def cmd_matrix(args) -> int:
     word, letters = _word_input(args)
+    head: dict = {}  # payload fields before "length"
+    tail: dict = {}  # and after it
     if args.kind in ("classic", "extended"):
         if args.alphabet is None:
             raise PatternError(f"matrix {args.kind} requires --alphabet")
         alphabet = Alphabet.parse(args.alphabet)
         if args.kind == "classic":
-            ctx = ParikhContext.classic(alphabet)
+            mapping = ParikhContext.classic(alphabet)
         else:
             if args.inducing is None:
                 raise PatternError("matrix extended requires --inducing")
-            ctx = ParikhContext(alphabet, parse_word(args.inducing, alphabet))
-        fold = ParikhFold(ctx)
-        n = 0
-        for ch in letters:
-            fold.push(ch)
-            n += 1
-        matrix = fold.result()
-        if word is not None and len(word) <= _PARIKH_CHECK_LIMIT:
-            direct = _parikh_direct(ctx, word)
-            if direct != matrix:
-                print("internal error: fold disagrees with direct entries", file=sys.stderr)
-                return 1
-        payload = {"kind": args.kind, "alphabet": str(alphabet), "length": n}
-        if args.kind == "extended":
-            payload["inducing"] = ctx.inducing
-        payload.update(_matrix_payload(matrix))
-        _emit(args, payload, _matrix_lines(matrix))
-        return 0
-
-    if args.kind == "factor":
-        if args.alphabet is None:
-            raise PatternError("matrix factor requires --alphabet")
-        sigma = Alphabet.parse(args.alphabet).concat()
-        pattern = GapPattern((sigma,))
-        if len(sigma) < 2:
-            raise PatternError("matrix factor needs an alphabet of size >= 2")
+            mapping = ParikhContext(alphabet, parse_word(args.inducing, alphabet))
+            tail["inducing"] = mapping.inducing
+        head["alphabet"] = str(alphabet)
+        fold, direct, limit = ParikhFold(mapping), parikh_matrix_direct, _PARIKH_CHECK_LIMIT
     else:
-        if args.pattern is None:
-            raise PatternError("matrix sequence requires --pattern")
-        pattern = GapPattern.parse(args.pattern)
-    block_dim(pattern)  # reject flat length < 2 before consuming input
-    fold = SeqFold(pattern)
+        if args.kind == "factor":
+            if args.alphabet is None:
+                raise PatternError("matrix factor requires --alphabet")
+            sigma = Alphabet.parse(args.alphabet).concat()
+            mapping = GapPattern((sigma,))
+            if len(sigma) < 2:
+                raise PatternError("matrix factor needs an alphabet of size >= 2")
+        else:
+            if args.pattern is None:
+                raise PatternError("matrix sequence requires --pattern")
+            mapping = GapPattern.parse(args.pattern)
+        head["pattern"] = mapping.render()
+        # SeqFold rejects flat length < 2 before any input is consumed
+        fold, direct, limit = SeqFold(mapping), seq_matrix_direct, _SEQ_CHECK_LIMIT
     n = 0
     for ch in letters:
         fold.push(ch)
         n += 1
     result = fold.result()
-    if word is not None and len(word) <= _SEQ_CHECK_LIMIT:
-        if seq_matrix_direct(pattern, word) != result:
-            print("internal error: fold disagrees with direct construction", file=sys.stderr)
-            return 1
-    payload = {
-        "kind": args.kind,
-        "pattern": pattern.render(),
-        "length": n,
-    }
-    payload.update(_matrix_payload(result.matrix))
+    if word is not None and len(word) <= limit and direct(mapping, word) != result:
+        print("internal error: fold disagrees with direct construction", file=sys.stderr)
+        return 1
+    payload = {"kind": args.kind, **head, "length": n, **tail}
+    if isinstance(result, IntMatrix):
+        payload.update(result.to_json_dict())
+        _emit(args, payload, str(result).splitlines())
+        return 0
+    payload.update(result.matrix.to_json_dict())
     payload["blocks"] = {
         name: block.to_json_dict()["rows"]
         for name, block in result.blocks().items()
     }
-    lines = _matrix_lines(result.matrix)
+    lines = str(result.matrix).splitlines()
     for name, block in result.blocks().items():
         lines.append(f"{name}:")
-        lines.extend(_matrix_lines(block))
+        lines.extend(str(block).splitlines())
     _emit(args, payload, lines)
     return 0
 
 
-def _parikh_direct(ctx: ParikhContext, w: str) -> IntMatrix:
-    """Entry-by-entry oracle: above-diagonal cells are subword counts."""
-    n = ctx.dim
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(1, n):
-        for j in range(i, n):
-            rows[i - 1][j] = count_subword(w, ctx.inducing[i - 1 : j])
-    return IntMatrix(rows)
-
-
 def cmd_minor(args) -> int:
-    word, letters = _word_input(args)
-    if word is None:
-        word = "".join(letters)
+    word = _buffered_word(args)
     pattern = GapPattern.parse(args.pattern)
     minor = special_minor(pattern, word)
     indices: tuple[int, ...] = ()
@@ -191,15 +169,13 @@ def cmd_minor(args) -> int:
             print("internal error: extracted minor disagrees with direct construction", file=sys.stderr)
             return 1
     payload = {"pattern": pattern.render(), "indices": list(indices)}
-    payload.update(_matrix_payload(minor))
-    _emit(args, payload, _matrix_lines(minor))
+    payload.update(minor.to_json_dict())
+    _emit(args, payload, str(minor).splitlines())
     return 0
 
 
 def cmd_witness(args) -> int:
-    word, letters = _word_input(args)
-    if word is None:
-        word = "".join(letters)
+    word = _buffered_word(args)
     pattern = GapPattern.parse(args.pattern)
     witness, minor, verified = verify_witness(pattern, word)
     text = witness_text(witness, len(pattern.factors))
@@ -207,17 +183,15 @@ def cmd_witness(args) -> int:
         "pattern": pattern.render(),
         "witness": text,
         "verified": verified,
+        "minor": minor.to_json_dict(),
     }
-    payload["minor"] = _matrix_payload(minor)
     _emit(args, payload, [text, f"verified: {str(verified).lower()}"])
     return 0 if verified else 1
 
 
 def cmd_gsh(args) -> int:
     if args.action == "eval":
-        word, letters = _word_input(args)
-        if word is None:
-            word = "".join(letters)
+        word = _buffered_word(args)
         value = evaluate(parse_expr(args.expr), word)
         _emit(args, {"value": str(value)}, [str(value)])
         return 0
@@ -226,6 +200,7 @@ def cmd_gsh(args) -> int:
         _emit(args, {"terms": linear.to_json_list()}, [linear.render()])
         return 0
     # equiv: canonical verdict plus the exhaustive bounded oracle
+    _at_least(args.maxlen, 0, "--maxlen")
     e1 = parse_expr(args.expr)
     e2 = parse_expr(args.expr2)
     canonical = equivalent(e1, e2)
@@ -254,6 +229,8 @@ def cmd_gsh(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _at_least(args.iters, 1, "--iters")
+    _at_least(args.maxlen, 0, "--maxlen")
     names = fuzz.SUITES if args.suite == "all" else (args.suite,)
     reports = [
         fuzz.run_suite(name, args.seed, args.iters, args.maxlen) for name in names
@@ -385,3 +362,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

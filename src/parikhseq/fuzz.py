@@ -293,20 +293,19 @@ def run_gsh(max_len: int) -> FuzzReport:
     return FuzzReport("gsh", cases, True)
 
 
-SUITES = ("homomorphism", "fold", "entries", "witness", "minors", "gsh")
+# suite name -> runner taking (seed, iters, max_len); SUITES keeps this order
+_RUNNERS: dict[str, Callable[[int, int, int], FuzzReport]] = {
+    "homomorphism": lambda seed, iters, max_len: run_homomorphism(seed, iters),
+    "fold": lambda seed, iters, max_len: run_direct_vs_fold(seed, iters),
+    "entries": lambda seed, iters, max_len: run_entry_law(seed, iters),
+    "witness": lambda seed, iters, max_len: run_witness(seed, iters),
+    "minors": lambda seed, iters, max_len: run_minor_nonneg(seed, iters),
+    "gsh": lambda seed, iters, max_len: run_gsh(max_len),
+}
+SUITES = tuple(_RUNNERS)
 
 
 def run_suite(name: str, seed: int, iters: int, max_len: int) -> FuzzReport:
-    if name == "homomorphism":
-        return run_homomorphism(seed, iters)
-    if name == "fold":
-        return run_direct_vs_fold(seed, iters)
-    if name == "entries":
-        return run_entry_law(seed, iters)
-    if name == "witness":
-        return run_witness(seed, iters)
-    if name == "minors":
-        return run_minor_nonneg(seed, iters)
-    if name == "gsh":
-        return run_gsh(max_len)
-    raise ValueError(f"unknown suite {name!r}")
+    if name not in _RUNNERS:
+        raise ValueError(f"unknown suite {name!r}")
+    return _RUNNERS[name](seed, iters, max_len)

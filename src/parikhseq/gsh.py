@@ -13,8 +13,8 @@ junction contributes its reduction: the words carrying an overlap-connected,
 span-filling joint placement of both runs, each weighted by the number of
 such placements.  Junction-free schemes are exactly the ground shuffle
 terms.  The paper-style rule set that reduces only plain-run-then-primed-run
-junctions is kept as `linearize_product_literal` for comparison; it
-undercounts (e.g. (a.a) x a on the word aa) and is not used by `linearize`.
+junctions undercounts (e.g. (a.a) x a on the word aa); it is kept for
+comparison as `linearize_product_literal` in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -228,54 +228,6 @@ def evaluate(e: Union[Expr, LinearForm], w: str) -> int:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def ground_shuffle(p: Monomial, q: Monomial) -> list[Monomial]:
-    """All order-preserving interleavings of the two factor sequences, as a
-    multiset (list) of size binomial(x+y, x)."""
-    p = canonical_mono(p)
-    q = canonical_mono(q)
-    out: list[Monomial] = []
-
-    def rec(i: int, j: int, acc: list[str]) -> None:
-        if i == len(p) and j == len(q):
-            out.append(tuple(acc))
-            return
-        if i < len(p):
-            acc.append(p[i])
-            rec(i + 1, j, acc)
-            acc.pop()
-        if j < len(q):
-            acc.append(q[j])
-            rec(i, j + 1, acc)
-            acc.pop()
-
-    rec(0, 0, [])
-    return out
-
-
-def is_interleaved(
-    p_factors: Monomial,
-    p_starts: tuple[int, ...],
-    q_factors: Monomial,
-    q_starts: tuple[int, ...],
-) -> bool:
-    """True iff every consecutive factor pair of one occurrence is bridged by
-    a factor of the other occurrence overlapping both."""
-
-    def spans(factors, starts):
-        return [(s, s + len(f) - 1) for f, s in zip(factors, starts)]
-
-    ps = spans(p_factors, p_starts)
-    qs = spans(q_factors, q_starts)
-
-    def bridged(pairs, others):
-        for (a1, b1), (a2, b2) in zip(pairs, pairs[1:]):
-            if not any(a <= b1 and a1 <= b and a <= b2 and a2 <= b for a, b in others):
-                return False
-        return True
-
-    return bridged(ps, qs) and bridged(qs, ps)
-
-
 def _placements(runs: Monomial, max_end: int) -> Iterator[tuple[int, ...]]:
     """Start tuples with gap >= 0 between runs and every span within
     [1, max_end]."""
@@ -342,8 +294,10 @@ def red(p_run: Monomial, q_run: Monomial) -> LinearForm:
             span = _connected_span(intervals)
             if span is None:
                 continue
+            # every placed letter lies in [1, span]; fewer than span means a gap
+            if len(merged) != span:
+                raise RuntimeError("connected cluster left a gap")
             word = "".join(merged[pos] for pos in range(1, span + 1))
-            assert len(word) == span, "connected cluster left a gap"
             acc[(word,)] = acc.get((word,), 0) + 1
     return LinearForm(acc)
 
@@ -385,11 +339,8 @@ def linearize_product(p: Monomial, q: Monomial) -> LinearForm:
     for scheme in _schemes(len(p), len(q)):
         partial: dict[Monomial, int] = {(): 1}
         for seg in scheme:
-            if seg[0] == "P":
-                run = p[seg[1] : seg[2]]
-                partial = {m + run: c for m, c in partial.items()}
-            elif seg[0] == "Q":
-                run = q[seg[1] : seg[2]]
+            if seg[0] != "J":
+                run = (p if seg[0] == "P" else q)[seg[1] : seg[2]]
                 partial = {m + run: c for m, c in partial.items()}
             else:
                 reduction = red(p[seg[1] : seg[2]], q[seg[3] : seg[4]])
@@ -403,57 +354,6 @@ def linearize_product(p: Monomial, q: Monomial) -> LinearForm:
                 }
         for m, c in partial.items():
             acc[m] = acc.get(m, 0) + c
-    return LinearForm(acc)
-
-
-def linearize_product_literal(p: Monomial, q: Monomial) -> LinearForm:
-    """Rule-by-rule reduction over ground shuffle terms, reducing a junction
-    only where a plain run is immediately followed by a primed run.  Kept for
-    side-by-side comparison with linearize_product; known to undercount."""
-    p = canonical_mono(p)
-    q = canonical_mono(q)
-    if not p:
-        return LinearForm({q: 1})
-    if not q:
-        return LinearForm({p: 1})
-    acc: dict[Monomial, int] = {}
-
-    def terms(i: int, j: int, sequence: list[tuple[str, str]]) -> None:
-        if i == len(p) and j == len(q):
-            runs: list[tuple[str, Monomial]] = []
-            for side, factor in sequence:
-                if runs and runs[-1][0] == side:
-                    runs[-1] = (side, runs[-1][1] + (factor,))
-                else:
-                    runs.append((side, (factor,)))
-            forms = [LinearForm({(): 1})]
-            k = 0
-            while k < len(runs):
-                side, run = runs[k]
-                if side == "P" and k + 1 < len(runs):
-                    follow = runs[k + 1][1]
-                    branch = LinearForm({run + follow: 1}) + red(run, follow)
-                    forms.append(branch)
-                    k += 2
-                else:
-                    forms.append(LinearForm({run: 1}))
-                    k += 1
-            total: dict[Monomial, int] = {(): 1}
-            for form in forms:
-                total = {
-                    m1 + m2: c1 * c2
-                    for m1, c1 in total.items()
-                    for m2, c2 in form.items()
-                }
-            for m, c in total.items():
-                acc[m] = acc.get(m, 0) + c
-            return
-        if i < len(p):
-            terms(i + 1, j, sequence + [("P", p[i])])
-        if j < len(q):
-            terms(i, j + 1, sequence + [("Q", q[j])])
-
-    terms(0, 0, [])
     return LinearForm(acc)
 
 
@@ -479,8 +379,7 @@ def linearize(e: Expr) -> LinearForm:
             for m1, c1 in acc.items():
                 for m2, c2 in rhs.items():
                     for m, c in linearize_product(m1, m2).items():
-                        key = m
-                        combined[key] = combined.get(key, 0) + c1 * c2 * c
+                        combined[m] = combined.get(m, 0) + c1 * c2 * c
             acc = LinearForm(combined)
         return acc
     raise TypeError(f"not an expression: {e!r}")
@@ -550,10 +449,16 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
+# nesting bound for '(' and integer prefixes; each level costs at most three
+# parser frames, so parsing stays far below the interpreter's recursion limit
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[tuple[str, str]]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -588,8 +493,6 @@ class _Parser:
 
     def atom(self) -> Expr:
         kind, value = self.take()
-        if kind == "int":
-            return Scale(int(value), self.atom())
         if kind == "mono":
             try:
                 return Mono(GapPattern.parse(value).factors)
@@ -597,12 +500,19 @@ class _Parser:
                 raise GshSyntaxError(str(exc)) from None
         if kind == "eps":
             return EPSILON
-        if (kind, value) == ("op", "("):
+        if kind != "int" and (kind, value) != ("op", "("):
+            raise GshSyntaxError(f"unexpected token {value!r}")
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise GshSyntaxError(f"expression nested deeper than {MAX_NESTING}")
+        if kind == "int":
+            node = Scale(int(value), self.atom())
+        else:
             node = self.expr()
             if self.take() != ("op", ")"):
                 raise GshSyntaxError("expected ')'")
-            return node
-        raise GshSyntaxError(f"unexpected token {value!r}")
+        self.depth -= 1
+        return node
 
 
 def parse_expr(text: str) -> Expr:

@@ -93,7 +93,8 @@ class IntMatrix:
                     # exact by the Bareiss identity; // would hide a bug, so check
                     num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
                     q, r = divmod(num, prev)
-                    assert r == 0, "fraction-free elimination produced a remainder"
+                    if r:
+                        raise RuntimeError("fraction-free elimination produced a remainder")
                     m[i][j] = q
                 m[i][k] = 0
             prev = m[k][k]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .counting import count_subword
 from .intmat import IntMatrix
 from .words import Alphabet, PatternError, parse_word
 
@@ -108,3 +109,13 @@ def parikh_matrix(ctx: ParikhContext, w: str) -> IntMatrix:
     fold = ParikhFold(ctx)
     fold.extend(w)
     return fold.result()
+
+
+def parikh_matrix_direct(ctx: ParikhContext, w: str) -> IntMatrix:
+    """Entry-by-entry oracle: above-diagonal cells are subword counts."""
+    n = ctx.dim
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(1, n):
+        for j in range(i, n):
+            rows[i - 1][j] = count_subword(w, ctx.inducing[i - 1 : j])
+    return IntMatrix(rows)

@@ -30,9 +30,8 @@ from .counting import count_piece
 from .intmat import IntMatrix
 from .words import GapPattern, PatternError, Piece, SYMBOL_CHARS
 
-BLOCK_NAMES = ("E", "F", "C", "S")
-
-Cell = Union[int, Piece]
+# (block row, block column) of each named block in [[I,E,F],[0,C,S],[0,0,I]]
+BLOCKS = {"E": (0, 1), "F": (0, 2), "C": (1, 1), "S": (1, 2)}
 
 
 def block_dim(pattern: GapPattern) -> int:
@@ -46,72 +45,16 @@ def block_dim(pattern: GapPattern) -> int:
     return d
 
 
-class EntryLayout:
-    """Total cell map of the matrix for one pattern: 0, 1, or a piece."""
+def block_piece(pattern: GapPattern, name: str, i: int, j: int) -> Piece:
+    """Piece counted by cell (i, j) of a named block, 1 <= i <= j <= d.
 
-    def __init__(self, pattern: GapPattern):
-        self.pattern = pattern
-        self.dim_block = block_dim(pattern)
-        self.dim = 3 * self.dim_block
-
-    def suffix_cell(self, i: int, j: int) -> Piece:
-        """E[i][j] for 1 <= i <= j <= d."""
-        b = self.pattern.boundaries
-        return self.pattern.piece(i, j, False, j not in b)
-
-    def factor_cell(self, i: int, j: int) -> Piece:
-        """F[i][j] for 1 <= i <= j <= d."""
-        return self.pattern.piece(i, j + 1, False, False)
-
-    def prefix_cell(self, i: int, j: int) -> Piece:
-        """S[i][j] for 1 <= i <= j <= d."""
-        b = self.pattern.boundaries
-        return self.pattern.piece(i + 1, j + 1, i not in b, False)
-
-    def whole_cell(self, i: int, j: int) -> Piece:
-        """C[i][j] for 1 <= i <= j <= d; the diagonal is the empty piece,
-        unanchored at boundary indices and both-anchored elsewhere."""
-        b = self.pattern.boundaries
-        return self.pattern.piece(i + 1, j, i not in b, j not in b)
-
-    def block_cell(self, name: str, i: int, j: int) -> Cell:
-        """Cell (i, j) of a named block, including its zero lower triangle."""
-        d = self.dim_block
-        if not (1 <= i <= d and 1 <= j <= d):
-            raise ValueError(f"block cell ({i}, {j}) outside [1, {d}]^2")
-        if j < i:
-            return 0
-        if name == "E":
-            return self.suffix_cell(i, j)
-        if name == "F":
-            return self.factor_cell(i, j)
-        if name == "S":
-            return self.prefix_cell(i, j)
-        if name == "C":
-            return self.whole_cell(i, j)
-        raise ValueError(f"unknown block {name!r}")
-
-    def cell(self, row: int, col: int) -> Cell:
-        """Cell of the full 3d x 3d matrix (1-based)."""
-        d = self.dim_block
-        if not (1 <= row <= 3 * d and 1 <= col <= 3 * d):
-            raise ValueError(f"cell ({row}, {col}) outside [1, {3 * d}]^2")
-        br, i = divmod(row - 1, d)
-        bc, j = divmod(col - 1, d)
-        i += 1
-        j += 1
-        if br == bc and br != 1:
-            return 1 if i == j else 0
-        if br > bc:
-            return 0
-        name = [["", "E", "F"], ["", "C", "S"]][br][bc] if br < 2 else ""
-        if not name:
-            return 0
-        return self.block_cell(name, i, j)
-
-
-def entry_spec(pattern: GapPattern) -> EntryLayout:
-    return EntryLayout(pattern)
+    One rule covers all four blocks: the fragment runs from flat position i
+    (i+1 in the middle block row, start-anchored unless i is in B) to j+1
+    (j in the middle block column, end-anchored unless j is in B).
+    """
+    r, c = BLOCKS[name]
+    b = pattern.boundaries
+    return pattern.piece(i + r, j + c - 1, r == 1 and i not in b, c == 1 and j not in b)
 
 
 class SeqMatrix:
@@ -137,17 +80,16 @@ class SeqMatrix:
 
     def block(self, name: str) -> IntMatrix:
         """Named (L-1) x (L-1) block: E, F, C, or S."""
-        d = self.dim_block
-        offsets = {"E": (0, d), "F": (0, 2 * d), "C": (d, d), "S": (d, 2 * d)}
-        if name not in offsets:
+        if name not in BLOCKS:
             raise ValueError(f"unknown block {name!r}")
-        r0, c0 = offsets[name]
+        d = self.dim_block
+        r0, c0 = (d * k for k in BLOCKS[name])
         return IntMatrix(
             [row[c0 : c0 + d] for row in self.matrix.rows[r0 : r0 + d]]
         )
 
     def blocks(self) -> dict[str, IntMatrix]:
-        return {name: self.block(name) for name in BLOCK_NAMES}
+        return {name: self.block(name) for name in BLOCKS}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SeqMatrix):
@@ -161,18 +103,35 @@ class SeqMatrix:
         return str(self.matrix)
 
 
+def _assemble(pattern: GapPattern, blocks: dict[str, list[list[int]]]) -> SeqMatrix:
+    """Full matrix from column-major d x d blocks (block[j][i] is entry
+    (i, j)), placed by BLOCKS on an identity background."""
+    d = len(blocks["E"])
+    zero = [0] * d
+    zeros = [zero] * d
+    unit = [zero[:j] + [1] + zero[j + 1 :] for j in range(d)]
+    # grid[block column][block row], each block column-major
+    grid = [[unit, zeros, zeros], [zeros, unit, zeros], [zeros, zeros, unit]]
+    for name, (br, bc) in BLOCKS.items():
+        grid[bc][br] = blocks[name]
+    cols = [top[j] + mid[j] + low[j] for top, mid, low in grid for j in range(d)]
+    return SeqMatrix(pattern, IntMatrix(zip(*cols)))
+
+
 def seq_matrix_direct(pattern: GapPattern, w: str) -> SeqMatrix:
     """Matrix built cell by cell from anchored-piece counts."""
-    layout = EntryLayout(pattern)
-    n = layout.dim
-    rows = []
-    for row in range(1, n + 1):
-        out = []
-        for col in range(1, n + 1):
-            cell = layout.cell(row, col)
-            out.append(count_piece(w, cell) if isinstance(cell, Piece) else cell)
-        rows.append(out)
-    return SeqMatrix(pattern, IntMatrix(rows))
+    d = block_dim(pattern)
+    return _assemble(
+        pattern,
+        {
+            name: [
+                [count_piece(w, block_piece(pattern, name, i, j)) if i <= j else 0
+                 for i in range(1, d + 1)]
+                for j in range(1, d + 1)
+            ]
+            for name in BLOCKS
+        },
+    )
 
 
 def seq_matrix_letter(pattern: GapPattern, letter: str) -> IntMatrix:
@@ -260,18 +219,9 @@ class SeqFold:
             self.push(letter)
 
     def result(self) -> SeqMatrix:
-        d = self._d
-        n = 3 * d
-        rows = [[0] * n for _ in range(n)]
-        for k in range(n):
-            rows[k][k] = 1
-        for j in range(d):
-            for i in range(d):
-                rows[i][d + j] = self._e[j][i]
-                rows[i][2 * d + j] = self._f[j][i]
-                rows[d + i][2 * d + j] = self._s[j][i]
-                rows[d + i][d + j] = self._c[j][i]
-        return SeqMatrix(self.pattern, IntMatrix(rows))
+        return _assemble(
+            self.pattern, {"E": self._e, "F": self._f, "C": self._c, "S": self._s}
+        )
 
 
 def seq_matrix(pattern: GapPattern, letters: Union[str, Iterable[str]]) -> SeqMatrix:

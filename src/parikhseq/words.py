@@ -208,7 +208,3 @@ class GapPattern:
 
     def __str__(self) -> str:
         return self.render()
-
-
-def parse_pattern(text: str) -> GapPattern:
-    return GapPattern.parse(text)

@@ -1,10 +1,15 @@
 """Brute-force reference implementations used only by the tests.
 
-Everything here enumerates occurrence tuples literally (feasible up to
-|w| ~ 12), independent of the tabulated counters in the package.
+The counters enumerate occurrence tuples literally (feasible up to |w| ~ 12),
+independent of the tabulated counters in the package.  The generalized
+subword history helpers at the end are the ground shuffle, the interleaving
+test, and the literal junction rules, which undercount and are kept only for
+comparison with `parikhseq.gsh.linearize_product`.
 """
 
 from itertools import combinations
+
+from parikhseq.gsh import LinearForm, Monomial, canonical_mono, red
 
 
 def enum_subword(w: str, u: str) -> int:
@@ -79,3 +84,102 @@ def det_cofactor(rows) -> int:
         term = rows[0][j] * det_cofactor(sub)
         total += term if j % 2 == 0 else -term
     return total
+
+
+def ground_shuffle(p: Monomial, q: Monomial) -> list[Monomial]:
+    """All order-preserving interleavings of the two factor sequences, as a
+    multiset (list) of size binomial(x+y, x)."""
+    p = canonical_mono(p)
+    q = canonical_mono(q)
+    out: list[Monomial] = []
+
+    def rec(i: int, j: int, acc: list[str]) -> None:
+        if i == len(p) and j == len(q):
+            out.append(tuple(acc))
+            return
+        if i < len(p):
+            acc.append(p[i])
+            rec(i + 1, j, acc)
+            acc.pop()
+        if j < len(q):
+            acc.append(q[j])
+            rec(i, j + 1, acc)
+            acc.pop()
+
+    rec(0, 0, [])
+    return out
+
+
+def is_interleaved(
+    p_factors: Monomial,
+    p_starts: tuple[int, ...],
+    q_factors: Monomial,
+    q_starts: tuple[int, ...],
+) -> bool:
+    """True iff every consecutive factor pair of one occurrence is bridged by
+    a factor of the other occurrence overlapping both."""
+
+    def spans(factors, starts):
+        return [(s, s + len(f) - 1) for f, s in zip(factors, starts)]
+
+    ps = spans(p_factors, p_starts)
+    qs = spans(q_factors, q_starts)
+
+    def bridged(pairs, others):
+        for (a1, b1), (a2, b2) in zip(pairs, pairs[1:]):
+            if not any(a <= b1 and a1 <= b and a <= b2 and a2 <= b for a, b in others):
+                return False
+        return True
+
+    return bridged(ps, qs) and bridged(qs, ps)
+
+
+def linearize_product_literal(p: Monomial, q: Monomial) -> LinearForm:
+    """Rule-by-rule reduction over ground shuffle terms, reducing a junction
+    only where a plain run is immediately followed by a primed run.  Kept for
+    side-by-side comparison with linearize_product; known to undercount."""
+    p = canonical_mono(p)
+    q = canonical_mono(q)
+    if not p:
+        return LinearForm({q: 1})
+    if not q:
+        return LinearForm({p: 1})
+    acc: dict[Monomial, int] = {}
+
+    def terms(i: int, j: int, sequence: list[tuple[str, str]]) -> None:
+        if i == len(p) and j == len(q):
+            runs: list[tuple[str, Monomial]] = []
+            for side, factor in sequence:
+                if runs and runs[-1][0] == side:
+                    runs[-1] = (side, runs[-1][1] + (factor,))
+                else:
+                    runs.append((side, (factor,)))
+            forms = [LinearForm({(): 1})]
+            k = 0
+            while k < len(runs):
+                side, run = runs[k]
+                if side == "P" and k + 1 < len(runs):
+                    follow = runs[k + 1][1]
+                    branch = LinearForm({run + follow: 1}) + red(run, follow)
+                    forms.append(branch)
+                    k += 2
+                else:
+                    forms.append(LinearForm({run: 1}))
+                    k += 1
+            total: dict[Monomial, int] = {(): 1}
+            for form in forms:
+                total = {
+                    m1 + m2: c1 * c2
+                    for m1, c1 in total.items()
+                    for m2, c2 in form.items()
+                }
+            for m, c in total.items():
+                acc[m] = acc.get(m, 0) + c
+            return
+        if i < len(p):
+            terms(i + 1, j, sequence + [("P", p[i])])
+        if j < len(q):
+            terms(i, j + 1, sequence + [("Q", q[j])])
+
+    terms(0, 0, [])
+    return LinearForm(acc)

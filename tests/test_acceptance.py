@@ -46,8 +46,18 @@ def timed(fn):
     return time.perf_counter() - start
 
 
+# block offsets in units of d, kept apart from the package's own table so a
+# placement error cannot hide behind extraction that shares it
+BLOCK_OFFSETS = {"E": (0, 1), "F": (0, 2), "C": (1, 1), "S": (1, 2)}
+
+
 def blocks_of(sm):
-    return {name: [list(r) for r in block.rows] for name, block in sm.blocks().items()}
+    d = sm.matrix.dim // 3
+    rows = sm.matrix.rows
+    return {
+        name: [list(row[c * d : (c + 1) * d]) for row in rows[r * d : (r + 1) * d]]
+        for name, (r, c) in BLOCK_OFFSETS.items()
+    }
 
 
 def test_criterion_1_classic_matrix_exact():
@@ -132,11 +142,10 @@ def reference_full_matrix():
     rows = [[0] * 12 for _ in range(12)]
     for k in range(12):
         rows[k][k] = 1
-    offsets = {"E": (0, d), "F": (0, 2 * d), "C": (d, d), "S": (d, 2 * d)}
-    for name, (r0, c0) in offsets.items():
+    for name, (r, c) in BLOCK_OFFSETS.items():
         for i in range(d):
             for j in range(d):
-                rows[r0 + i][c0 + j] = REFERENCE_BLOCKS[name][i][j]
+                rows[r * d + i][c * d + j] = REFERENCE_BLOCKS[name][i][j]
     return IntMatrix(rows)
 
 
@@ -146,7 +155,7 @@ def test_criterion_4_disputed_cells_report():
         computed = seq_matrix_direct(q, "aba").matrix
         reference = reference_full_matrix()
         d = 4
-        offsets = {"E": (0, d), "F": (0, 2 * d), "C": (d, d), "S": (d, 2 * d)}
+        offsets = {name: (r * d, c * d) for name, (r, c) in BLOCK_OFFSETS.items()}
 
         report = []
         for row, col, got, printed in computed.diff(reference):

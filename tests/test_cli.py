@@ -1,10 +1,16 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from parikhseq import cli
 from parikhseq.intmat import IntMatrix
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -159,6 +165,15 @@ class TestMatrix:
         )
         assert code == 1 and "disagrees" in err
 
+    def test_parikh_fold_direct_mismatch_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli, "parikh_matrix_direct", lambda ctx, w: IntMatrix.identity(ctx.dim)
+        )
+        code, _, err = run_cli(
+            capsys, "matrix", "classic", "--alphabet", "abc", "abcb"
+        )
+        assert code == 1 and "disagrees" in err
+
     def test_missing_alphabet(self, capsys):
         code, _, err = run_cli(capsys, "matrix", "classic", "abcb")
         assert code == 2 and "error" in err
@@ -230,6 +245,19 @@ class TestGsh:
         code, _, err = run_cli(capsys, "gsh", "eval", "a++b", "ab")
         assert code == 2 and "error" in err
 
+    def test_equiv_maxlen_zero_allowed(self, capsys):
+        code, out, _ = run_cli(capsys, "gsh", "equiv", "a", "a", "--maxlen", "0")
+        assert code == 0 and "bounded (maxlen=0): true" in out
+
+    @pytest.mark.parametrize(
+        "text",
+        ["(" * 3000 + "a" + ")" * 3000, "2 " * 3000 + "a"],
+        ids=["parentheses", "integer-prefixes"],
+    )
+    def test_deep_nesting_is_usage_error(self, capsys, text):
+        code, out, err = run_cli(capsys, "gsh", "linearize", text)
+        assert code == 2 and out == "" and "nested deeper" in err
+
 
 class TestVerify:
     def test_single_suite(self, capsys):
@@ -264,3 +292,29 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "witness")
         assert code == 1
         assert "FAIL" in out and "counterexample" in out
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["parikhseq", "parikhseq.cli"])
+    def test_python_dash_m(self, module):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "count", "--subword", "ab", "aabb"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == "4\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "fold", "--iters", "-5"),
+        ("verify", "fold", "--iters", "0"),
+        ("verify", "fold", "--maxlen", "-1"),
+        ("gsh", "equiv", "a", "b", "--maxlen", "-1"),
+    ],
+)
+def test_counts_below_minimum_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and argv[-2] in err

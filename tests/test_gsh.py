@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from oracles import enum_run_tuples
+from oracles import (
+    enum_run_tuples,
+    ground_shuffle,
+    is_interleaved,
+    linearize_product_literal,
+)
 from parikhseq import gsh
 from parikhseq.counting import count_subword
 from parikhseq.gsh import (
@@ -17,11 +22,8 @@ from parikhseq.gsh import (
     equivalent,
     equivalent_bounded,
     evaluate,
-    ground_shuffle,
-    is_interleaved,
     linearize,
     linearize_product,
-    linearize_product_literal,
     mono,
     parse_expr,
     red,
@@ -56,6 +58,27 @@ class TestParse:
     def test_malformed(self, text):
         with pytest.raises(GshSyntaxError):
             parse_expr(text)
+
+    def test_depth_fifty_parses(self):
+        assert parse_expr("(" * 50 + "a" + ")" * 50) == Mono(("a",))
+        node = parse_expr("2 " * 50 + "a")
+        for _ in range(50):
+            assert isinstance(node, Scale) and node.coeff == 2
+            node = node.inner
+        assert node == Mono(("a",))
+
+    def test_mixed_nesting_counts_both_kinds(self):
+        half = gsh.MAX_NESTING // 2
+        parse_expr("(2 " * half + "a" + ")" * half)
+        with pytest.raises(GshSyntaxError):
+            parse_expr("(2 " * (half + 1) + "a" + ")" * (half + 1))
+
+    @pytest.mark.parametrize("depth", [gsh.MAX_NESTING + 1, 3000])
+    def test_nesting_past_the_bound_rejected(self, depth):
+        with pytest.raises(GshSyntaxError):
+            parse_expr("(" * depth + "a" + ")" * depth)
+        with pytest.raises(GshSyntaxError):
+            parse_expr("2 " * depth + "a")
 
 
 class TestEvaluate:

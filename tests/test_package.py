@@ -1,0 +1,19 @@
+import ast
+from pathlib import Path
+
+import parikhseq
+
+PACKAGE = Path(parikhseq.__file__).resolve().parent
+
+
+def test_no_assert_statements_in_library():
+    # invariants must survive python -O, which strips assert statements
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
+    assert found == []

@@ -4,22 +4,17 @@ from itertools import product
 import pytest
 
 from oracles import enum_subword
-from parikhseq.counting import count_subword
 from parikhseq.intmat import IntMatrix
 from parikhseq.minors import check_minor_nonneg
-from parikhseq.parikh import ParikhContext, letter_matrix, parikh_matrix
+from parikhseq.parikh import (
+    ParikhContext,
+    letter_matrix,
+    parikh_matrix,
+    parikh_matrix_direct,
+)
 from parikhseq.words import Alphabet, PatternError
 
 ABC = Alphabet.parse("abc")
-
-
-def entries_from_counts(ctx, w):
-    n = ctx.dim
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(1, n):
-        for j in range(i, n):
-            rows[i - 1][j] = count_subword(w, ctx.inducing[i - 1 : j])
-    return IntMatrix(rows)
 
 
 class TestLetterMatrix:
@@ -37,7 +32,7 @@ class TestLetterMatrix:
         expected = IntMatrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
         assert letter_matrix(ctx, "a") == expected
         # cross-check against the entry law on the one-letter word
-        assert letter_matrix(ctx, "a") == entries_from_counts(ctx, "a")
+        assert letter_matrix(ctx, "a") == parikh_matrix_direct(ctx, "a")
 
     def test_unknown_symbol(self):
         with pytest.raises(PatternError):
@@ -65,7 +60,7 @@ class TestParikhMatrix:
         assert m.entry(2, 3) == 1
         assert m.entry(2, 4) == 1
         assert m.entry(3, 4) == 2
-        assert m == entries_from_counts(ctx, "cdc")
+        assert m == parikh_matrix_direct(ctx, "cdc")
 
     def test_unknown_symbol_in_word(self):
         with pytest.raises(PatternError):
@@ -97,7 +92,18 @@ class TestEntryLaw:
             inducing = "".join(rng.choice("abc") for _ in range(rng.randint(1, 4)))
             ctx = ParikhContext.induced_by(inducing, ABC)
             w = "".join(rng.choice("abc") for _ in range(rng.randint(0, 10)))
-            assert parikh_matrix(ctx, w) == entries_from_counts(ctx, w)
+            assert parikh_matrix(ctx, w) == parikh_matrix_direct(ctx, w)
+
+    def test_direct_oracle_against_enumeration(self):
+        rng = random.Random(24)
+        for _ in range(60):
+            inducing = "".join(rng.choice("ab") for _ in range(rng.randint(1, 3)))
+            ctx = ParikhContext.induced_by(inducing, Alphabet.parse("ab"))
+            w = "".join(rng.choice("ab") for _ in range(rng.randint(0, 8)))
+            m = parikh_matrix_direct(ctx, w)
+            for i in range(1, ctx.dim):
+                for j in range(i, ctx.dim):
+                    assert m.entry(i, j + 1) == enum_subword(w, inducing[i - 1 : j])
 
     def test_against_enumeration_oracle(self):
         rng = random.Random(22)

@@ -8,8 +8,9 @@ from parikhseq.intmat import IntMatrix
 from parikhseq.minors import minor_index_set
 from parikhseq.parikh import ParikhContext, parikh_matrix
 from parikhseq.seqmat import (
-    EntryLayout,
+    BLOCKS,
     SeqFold,
+    block_piece,
     factor_matrix,
     seq_matrix,
     seq_matrix_direct,
@@ -42,51 +43,57 @@ def random_pattern(rng, alphabet, min_flat=2):
 
 class TestEntryLayout:
     def test_gapped_pattern_cells(self):
-        layout = EntryLayout(AB_C)
-        assert layout.suffix_cell(1, 1) == Piece(("a",), False, True)
-        assert layout.suffix_cell(1, 2) == Piece(("ab",), False, False)
-        assert layout.suffix_cell(2, 2) == Piece(("b",), False, False)
-        assert layout.factor_cell(1, 2) == Piece(("ab", "c"), False, False)
-        assert layout.prefix_cell(1, 1) == Piece(("b",), True, False)
-        assert layout.prefix_cell(2, 2) == Piece(("c",), False, False)
-        assert layout.whole_cell(1, 2) == Piece(("b",), True, False)
+        q = AB_C
+        assert block_piece(q, "E", 1, 1) == Piece(("a",), False, True)
+        assert block_piece(q, "E", 1, 2) == Piece(("ab",), False, False)
+        assert block_piece(q, "E", 2, 2) == Piece(("b",), False, False)
+        assert block_piece(q, "F", 1, 2) == Piece(("ab", "c"), False, False)
+        assert block_piece(q, "S", 1, 1) == Piece(("b",), True, False)
+        assert block_piece(q, "S", 2, 2) == Piece(("c",), False, False)
+        assert block_piece(q, "C", 1, 2) == Piece(("b",), True, False)
         # diagonal: empty piece, both-anchored off boundaries, free on them
-        assert layout.whole_cell(1, 1) == Piece((), True, True)
-        assert layout.whole_cell(2, 2) == Piece((), False, False)
+        assert block_piece(q, "C", 1, 1) == Piece((), True, True)
+        assert block_piece(q, "C", 2, 2) == Piece((), False, False)
 
     def test_bullet_free_pattern_reduces_to_factor_layout(self):
-        layout = EntryLayout(ABC_SIGMA)
-        assert layout.suffix_cell(1, 1) == Piece(("a",), False, True)
-        assert layout.suffix_cell(1, 2) == Piece(("ab",), False, True)
-        assert layout.factor_cell(1, 2) == Piece(("abc",), False, False)
-        assert layout.prefix_cell(1, 2) == Piece(("bc",), True, False)
-        assert layout.whole_cell(1, 2) == Piece(("b",), True, True)
-        assert layout.whole_cell(1, 1) == Piece((), True, True)
-        assert layout.whole_cell(2, 2) == Piece((), True, True)
+        q = ABC_SIGMA
+        assert block_piece(q, "E", 1, 1) == Piece(("a",), False, True)
+        assert block_piece(q, "E", 1, 2) == Piece(("ab",), False, True)
+        assert block_piece(q, "F", 1, 2) == Piece(("abc",), False, False)
+        assert block_piece(q, "S", 1, 2) == Piece(("bc",), True, False)
+        assert block_piece(q, "C", 1, 2) == Piece(("b",), True, True)
+        assert block_piece(q, "C", 1, 1) == Piece((), True, True)
+        assert block_piece(q, "C", 2, 2) == Piece((), True, True)
 
     def test_three_factor_pattern_corner_cells(self):
-        layout = EntryLayout(A_ABA_A)
+        q = A_ABA_A
         # suffix cell at a boundary column is unanchored
-        assert layout.suffix_cell(1, 1) == Piece(("a",), False, False)
+        assert block_piece(q, "E", 1, 1) == Piece(("a",), False, False)
         # whole-block cell with both ends on boundaries is a plain factor count
-        assert layout.whole_cell(1, 4) == Piece(("aba",), False, False)
+        assert block_piece(q, "C", 1, 4) == Piece(("aba",), False, False)
 
     def test_full_matrix_cells(self):
-        layout = EntryLayout(AB_C)
-        assert layout.dim == 6
-        assert layout.cell(1, 1) == 1
-        assert layout.cell(2, 1) == 0
-        assert layout.cell(1, 3) == Piece(("a",), False, True)
-        assert layout.cell(1, 6) == Piece(("ab", "c"), False, False)
-        assert layout.cell(4, 4) == Piece((), False, False)
-        assert layout.cell(5, 5) == 1
-        assert layout.cell(6, 6) == 1
+        # block placement in the 6x6 matrix of ab.c: E at (1, 3), F at
+        # (1, 5), C at (3, 3), identity on the outer diagonal blocks
+        sm = seq_matrix_direct(AB_C, "babcab")
+        m = sm.matrix
+        assert m.dim == 6
+        assert (m.entry(1, 1), m.entry(5, 5), m.entry(6, 6)) == (1, 1, 1)
+        assert m.entry(2, 1) == 0
+        assert block_piece(AB_C, "E", 1, 1) == Piece(("a",), False, True)
+        assert m.entry(1, 3) == sm.block("E").entry(1, 1)
+        assert block_piece(AB_C, "F", 1, 2) == Piece(("ab", "c"), False, False)
+        assert m.entry(1, 6) == sm.block("F").entry(1, 2)
+        assert block_piece(AB_C, "C", 2, 2) == Piece((), False, False)
+        assert m.entry(4, 4) == sm.block("C").entry(2, 2) == 1
         with pytest.raises(ValueError):
-            layout.cell(0, 1)
+            block_piece(AB_C, "E", 0, 1)
+        with pytest.raises(ValueError):
+            sm.block("X")
 
     def test_flat_length_one_rejected(self):
         with pytest.raises(PatternError):
-            EntryLayout(GapPattern(("a",)))
+            seq_matrix_direct(GapPattern(("a",)), "")
 
 
 class TestFactorMatrix:
@@ -300,13 +307,14 @@ class TestDirectAgainstEnumeration:
         for _ in range(30):
             q = random_pattern(rng, "ab")
             w = random_word(rng, "ab", 8)
-            layout = EntryLayout(q)
-            m = seq_matrix_direct(q, w).matrix
-            for row in range(1, layout.dim + 1):
-                for col in range(1, layout.dim + 1):
-                    cell = layout.cell(row, col)
-                    if isinstance(cell, Piece):
+            sm = seq_matrix_direct(q, w)
+            d = q.flat_length - 1
+            for name in BLOCKS:
+                block = sm.block(name)
+                for i in range(1, d + 1):
+                    for j in range(i, d + 1):
+                        cell = block_piece(q, name, i, j)
                         expected = enum_piece(
                             w, cell.runs, cell.left_anchored, cell.right_anchored
                         )
-                        assert m.entry(row, col) == expected
+                        assert block.entry(i, j) == expected
