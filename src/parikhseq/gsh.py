@@ -259,7 +259,7 @@ def _connected_span(intervals: list[tuple[int, int]]) -> int | None:
     return reach
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def red(p_run: Monomial, q_run: Monomial) -> LinearForm:
     """Junction reduction: words v carrying a joint placement of both runs
     whose spans form one overlap-connected cluster filling v exactly, each
@@ -326,7 +326,7 @@ def _schemes(np: int, nq: int) -> Iterator[tuple[tuple, ...]]:
     yield from rec(0, 0, "")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def linearize_product(p: Monomial, q: Monomial) -> LinearForm:
     """Linear form equivalent to the product of two monomials."""
     p = canonical_mono(p)
@@ -476,13 +476,13 @@ class _Parser:
             self.take()
             negate = True
         node = self.term()
-        if negate:
-            node = Neg(node)
+        terms = [Neg(node) if negate else node]
+        # one flat Sum per chain: a left-deep tree would recurse once per term
         while self.peek() in (("op", "+"), ("op", "-")):
             _, op = self.take()
             rhs = self.term()
-            node = node + rhs if op == "+" else node - rhs
-        return node
+            terms.append(rhs if op == "+" else Neg(rhs))
+        return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
     def term(self) -> Expr:
         node = self.atom()

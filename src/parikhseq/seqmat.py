@@ -24,6 +24,7 @@ of the matrices, which the streaming fold exploits letter by letter.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Iterable, Union
 
 from .counting import count_piece
@@ -141,6 +142,10 @@ def seq_matrix_letter(pattern: GapPattern, letter: str) -> IntMatrix:
     return seq_matrix_direct(pattern, letter).matrix
 
 
+# a SeqFold plan for one letter: F/S columns to update, (j, keep) steps, clears
+_Plan = tuple[tuple[int, ...], tuple[tuple[int, bool], ...], tuple[int, ...]]
+
+
 class SeqFold:
     """Streaming left-to-right fold of letter matrices for one pattern.
 
@@ -152,75 +157,108 @@ class SeqFold:
         F <- F + E * S_c      S <- S + C * S_c
         E <- E_c + E * C_c    C <- C * C_c
 
-    with the F and S updates reading the pre-push E and C.  O(1) matrices are
-    in flight regardless of word length.
+    with the F and S updates reading the pre-push E and C.  Column j
+    (0-based) of E and C is kept when j+1 is a boundary (C_c[j][j] = 1),
+    gets column j-1, plus a unit in E's row j, added when flat letter j is
+    c, and is zero otherwise.  O(1) matrices are in flight regardless of word length.
+
+    Columns are triangular: column j holds rows 0..j only, and result()
+    pads it to length d.  No stored column is ever mutated, so a column
+    that does not change is reused by reference, a column moved in from
+    j-1 costs one concatenation, and F and S may share E's and C's columns.
+    Each length j+1 has one shared zero column and one shared unit column
+    (a 1 in row j).  Clearing stores the zero column and moving it keeps it
+    zero; moving it into E gives the unit column.  Adding the zero column
+    is skipped by an identity test, and adding the unit column to F is one
+    increment.  On sparse patterns most columns are zero or unit.
+
+    The first push of each letter validates it and caches its plan: the
+    columns j whose F and S change, the (j, keep) steps for the E and C
+    columns that take column j-1 (added to a kept column, else moved in),
+    and the columns to clear.  Steps run highest j first and clears run
+    last, so every step reads the pre-push column j-1.  Kept columns with
+    nothing to add are left out.
     """
 
     def __init__(self, pattern: GapPattern):
         d = block_dim(pattern)
         self.pattern = pattern
-        self._d = d
-        # column-major blocks: block[j][i] is the (i, j) entry (0-based)
-        self._e = [[0] * d for _ in range(d)]
-        self._f = [[0] * d for _ in range(d)]
-        self._s = [[0] * d for _ in range(d)]
-        self._c = [[1 if i == j else 0 for i in range(d)] for j in range(d)]
-        self._bdiag = [(j + 1) in pattern.boundaries for j in range(d)]
-        self._masks: dict[str, tuple[list[bool], list[bool]]] = {}
+        self._zero = zero = [[0] * (j + 1) for j in range(d)]
+        self._unit = unit = [[0] * j + [1] for j in range(d)]
+        # column-major, triangular blocks: block[j][i] is the (i, j) entry
+        self._e = list(zero)
+        self._f = list(zero)
+        self._s = list(zero)
+        self._c = list(unit)
+        self._plans: dict[str, _Plan] = {}
 
-    def _mask(self, letter: str) -> tuple[list[bool], list[bool]]:
-        try:
-            return self._masks[letter]
-        except KeyError:
-            if len(letter) != 1 or letter not in SYMBOL_CHARS:
-                raise PatternError(f"invalid letter {letter!r}") from None
-            flat = self.pattern.flat
-            d = self._d
-            head = [flat[j] == letter for j in range(d)]
-            tail = [flat[j + 1] == letter for j in range(d)]
-            self._masks[letter] = (head, tail)
-            return head, tail
+    def _plan(self, letter: str) -> _Plan:
+        if len(letter) != 1 or letter not in SYMBOL_CHARS:
+            raise PatternError(f"invalid letter {letter!r}")
+        flat, b = self.pattern.flat, self.pattern.boundaries
+        d = len(self._zero)
+        tails = tuple(j for j in range(d) if flat[j + 1] == letter)
+        steps = tuple((j, j + 1 in b) for j in reversed(range(d)) if flat[j] == letter)
+        clears = tuple(j for j in range(d) if flat[j] != letter and j + 1 not in b)
+        plan = self._plans[letter] = (tails, steps, clears)
+        return plan
 
     def push(self, letter: str) -> None:
-        head, tail = self._mask(letter)
-        d = self._d
-        e, f, s, c = self._e, self._f, self._s, self._c
-        bdiag = self._bdiag
-        for j in range(d):
-            if tail[j]:
-                f[j] = [a + b for a, b in zip(f[j], e[j])]
-                s[j] = [a + b for a, b in zip(s[j], c[j])]
-        new_e = []
-        new_c = []
-        for j in range(d):
-            keep = bdiag[j]
-            shift = j > 0 and head[j]
-            if keep and shift:
-                col_e = [a + b for a, b in zip(e[j], e[j - 1])]
-                col_c = [a + b for a, b in zip(c[j], c[j - 1])]
+        plan = self._plans.get(letter)
+        tails, steps, clears = plan if plan is not None else self._plan(letter)
+        e, f, s, c, zero, unit = self._e, self._f, self._s, self._c, self._zero, self._unit
+        for j in tails:
+            z = zero[j]
+            col = e[j]
+            if col is not z:
+                acc = f[j]
+                if acc is z:
+                    f[j] = col
+                elif col is unit[j]:
+                    acc = acc[:]
+                    acc[j] += 1
+                    f[j] = acc
+                else:
+                    f[j] = list(map(add, acc, col))
+            col = c[j]
+            if col is not z:
+                s[j] = col if s[j] is z else list(map(add, s[j], col))
+        for j, keep in steps:
+            if j == 0:  # no column -1: E gets its unit, C is kept or cleared
+                if keep:
+                    e[0] = [e[0][0] + 1]
+                else:
+                    e[0], c[0] = unit[0], zero[0]
             elif keep:
-                col_e = list(e[j])
-                col_c = list(c[j])
-            elif shift:
-                col_e = list(e[j - 1])
-                col_c = list(c[j - 1])
+                col = e[j]
+                new = list(map(add, col, e[j - 1]))
+                new.append(col[j] + 1)
+                e[j] = new
+                prev = c[j - 1]
+                if prev is not zero[j - 1]:
+                    col = c[j]
+                    new = list(map(add, col, prev))
+                    new.append(col[j])
+                    c[j] = new
             else:
-                col_e = [0] * d
-                col_c = [0] * d
-            if head[j]:
-                col_e[j] += 1
-            new_e.append(col_e)
-            new_c.append(col_c)
-        self._e = new_e
-        self._c = new_c
+                prev = e[j - 1]
+                e[j] = unit[j] if prev is zero[j - 1] else prev + [1]
+                prev = c[j - 1]
+                c[j] = zero[j] if prev is zero[j - 1] else prev + [0]
+        for j in clears:
+            e[j] = c[j] = zero[j]
 
     def extend(self, letters: Iterable[str]) -> None:
         for letter in letters:
             self.push(letter)
 
     def result(self) -> SeqMatrix:
+        d = len(self._zero)
+        pad = [[0] * (d - 1 - j) for j in range(d)]
+        blocks = {"E": self._e, "F": self._f, "C": self._c, "S": self._s}
         return _assemble(
-            self.pattern, {"E": self._e, "F": self._f, "C": self._c, "S": self._s}
+            self.pattern,
+            {name: [col + pad[j] for j, col in enumerate(cols)] for name, cols in blocks.items()},
         )
 
 

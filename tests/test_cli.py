@@ -259,6 +259,15 @@ class TestGsh:
         assert code == 2 and out == "" and "nested deeper" in err
 
 
+    def test_long_sum_chain(self, capsys):
+        code, out, _ = run_cli(capsys, "gsh", "linearize", "+".join(["a"] * 3000))
+        assert code == 0 and out.strip() == "3000(a)"
+        code, out, _ = run_cli(
+            capsys, "gsh", "eval", "+".join(["a"] * 2000) + "-b" * 1000, "aab"
+        )
+        assert code == 0 and out.strip() == str(2000 * 2 - 1000)
+
+
 class TestVerify:
     def test_single_suite(self, capsys):
         code, out, _ = run_cli(

@@ -54,6 +54,15 @@ class TestParse:
             (Neg(Prod((Mono(("a",)), Mono(("b",))))), Prod((Mono(("a",)), Mono(("b",)))))
         )
 
+    def test_sum_chain_is_one_flat_sum(self):
+        a, b, c = Mono(("a",)), Mono(("b",)), Mono(("c",))
+        assert parse_expr("a-b+c") == Sum((a, Neg(b), c))
+        assert parse_expr("-a+b-c") == Sum((Neg(a), b, Neg(c)))
+
+    def test_product_chain_stays_left_deep(self):
+        a, b, c = Mono(("a",)), Mono(("b",)), Mono(("c",))
+        assert parse_expr("a*b*c") == Prod((Prod((a, b)), c))
+
     @pytest.mark.parametrize("text", ["", "a..b", "a+", "(a", "a)", "2", "a @ b"])
     def test_malformed(self, text):
         with pytest.raises(GshSyntaxError):
@@ -99,6 +108,12 @@ class TestEvaluate:
     def test_operator_building(self):
         e = 2 * mono("a", "a") + mono("a")
         assert evaluate(e, "aa") == 2 * 1 + 2
+
+
+class TestCacheBounds:
+    @pytest.mark.parametrize("cached", [red, linearize_product], ids=lambda f: f.__name__)
+    def test_cache_is_bounded(self, cached):
+        assert cached.cache_info().maxsize is not None
 
 
 class TestGroundShuffle:

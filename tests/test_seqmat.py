@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import enum_piece
 from parikhseq.counting import count_gapped
@@ -238,6 +240,54 @@ class TestDirectEqualsFold:
         # keep pushing after taking a result
         fold.extend("cbcba")
         assert fold.result() == seq_matrix(AB_C, "babcabcbcba")
+
+
+@st.composite
+def pattern_and_word(draw):
+    """Gap pattern of flat length 2-12 and a word of 0-40 letters, both over
+    a 2- or 3-letter alphabet, plus a split point of the word."""
+    alphabet = draw(st.sampled_from(["ab", "abc"]))
+    letters = st.sampled_from(alphabet)
+    flat = "".join(draw(st.lists(letters, min_size=2, max_size=12)))
+    cuts = sorted(draw(st.sets(st.integers(1, len(flat) - 1))))
+    bounds = [0, *cuts, len(flat)]
+    pattern = GapPattern(tuple(flat[i:j] for i, j in zip(bounds, bounds[1:])))
+    word = "".join(draw(st.lists(letters, max_size=40)))
+    return pattern, word, draw(st.integers(0, len(word)))
+
+
+class TestFoldProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(pattern_and_word())
+    def test_fold_equals_direct(self, case):
+        q, w, split = case
+        fold = SeqFold(q)
+        fold.extend(w[:split])
+        early = fold.result()
+        assert early == seq_matrix_direct(q, w[:split])
+        # pushing after result() continues the same fold ...
+        fold.extend(w[split:])
+        assert fold.result() == seq_matrix_direct(q, w)
+        # ... and leaves the earlier result as it was, though columns are shared
+        assert early == seq_matrix_direct(q, w[:split])
+
+    @pytest.mark.parametrize("pattern", ["abababababababababab.ab", "ab.ba.ab.ba.ab"])
+    def test_long_word_sparse_and_dense(self, pattern):
+        q = GapPattern.parse(pattern)
+        rng = random.Random(33)
+        w = "".join(rng.choice("ab") for _ in range(3000))
+        assert seq_matrix(q, w) == seq_matrix_direct(q, w)
+
+    @pytest.mark.parametrize("letter", ["!", "ab", "", " "])
+    def test_invalid_letter_leaves_state(self, letter):
+        fold = SeqFold(AB_C)
+        fold.extend("abcab")
+        before = fold.result()
+        with pytest.raises(PatternError):
+            fold.push(letter)
+        assert fold.result() == before
+        fold.extend("cba")
+        assert fold.result() == seq_matrix_direct(AB_C, "abcabcba")
 
 
 class TestHomomorphism:
