@@ -5,9 +5,19 @@ occurrence tuples), so they stay linear-ish in the word length and exact for
 arbitrarily large counts.  Conventions: the empty subword/factor/piece counts
 1 occurrence in any word; a both-anchored empty piece counts 1 only in the
 empty word.
+
+`count_piece` takes the start lists of its runs from a `starts(w, run)`
+function, `factor_starts` by default.  A caller that counts many pieces of
+one word can pass `functools.cache(factor_starts)` so each distinct run is
+scanned once; the caller owns that memo and decides how long it lives.
+Anchored ends are checked in place (`startswith`/`endswith` and one cut in
+the last start list), never by scanning for the anchored run.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
+from typing import Callable
 
 from .words import GapPattern, Piece
 
@@ -47,18 +57,29 @@ def _count_runs(
     runs: tuple[str, ...],
     left_anchored: bool,
     right_anchored: bool,
+    starts: Callable[[str, str], list[int]],
 ) -> int:
     """Placements of the runs in order, gap >= 0 between consecutive runs."""
-    positions = []
-    for run in runs:
-        starts = factor_starts(w, run)
-        if not starts:
+    if left_anchored and not w.startswith(runs[0]):
+        return 0
+    if right_anchored:
+        last = runs[-1]
+        if not w.endswith(last):
             return 0
-        positions.append(starts)
-    if left_anchored:
-        ways = [1 if p == 1 else 0 for p in positions[0]]
-    else:
-        ways = [1] * len(positions[0])
+        if len(runs) == 1:
+            return int(len(w) == len(last)) if left_anchored else 1
+        # the last run is pinned to the end; the one before must start by cut
+        runs = runs[:-1]
+        cut = len(w) - len(last) + 1 - len(runs[-1])
+    positions = [[1]] if left_anchored else []  # startswith checked above
+    for run in runs[len(positions):]:
+        found = starts(w, run)
+        if not found:
+            return 0
+        positions.append(found)
+    if right_anchored:
+        positions[-1] = positions[-1][: bisect_right(positions[-1], cut)]
+    ways = [1] * len(positions[0])
     for k in range(1, len(runs)):
         prev_starts = positions[k - 1]
         prev_ways = ways
@@ -66,31 +87,39 @@ def _count_runs(
         ways = []
         acc = 0
         idx = 0
+        end = len(prev_starts)
         for p in positions[k]:
-            while idx < len(prev_starts) and prev_starts[idx] + min_gap <= p:
+            while idx < end and prev_starts[idx] + min_gap <= p:
                 acc += prev_ways[idx]
                 idx += 1
             ways.append(acc)
-    if right_anchored:
-        pinned = len(w) - len(runs[-1]) + 1
-        return sum(n for p, n in zip(positions[-1], ways) if p == pinned)
     return sum(ways)
 
 
 def count_gapped(w: str, pattern: GapPattern) -> int:
     """Occurrences of the gap pattern in w: factors matched contiguously,
     consecutive factors separated by a gap of length >= 0."""
-    return _count_runs(w, pattern.factors, False, False)
+    return _count_runs(w, pattern.factors, False, False, factor_starts)
 
 
-def count_piece(w: str, piece: Piece) -> int:
+def count_piece(
+    w: str,
+    piece: Piece,
+    starts: Callable[[str, str], list[int]] = factor_starts,
+) -> int:
     """Occurrences of an anchored piece in w.
 
     Empty piece: 1 when unanchored or single-anchored, [w is empty] when
-    both-anchored.
+    both-anchored.  `starts(w, run)` gives the 1-based start list of a run
+    (`factor_starts` by default); a memoized one lets many calls on the same
+    word share their scans, and the lists it returns are never mutated.
+    Anchored ends are tested in place: a left anchor by `w.startswith`, a
+    right anchor by `w.endswith` plus a cut in the previous run's starts.
     """
     if piece.is_empty:
         if piece.left_anchored and piece.right_anchored:
             return 1 if not w else 0
         return 1
-    return _count_runs(w, piece.runs, piece.left_anchored, piece.right_anchored)
+    return _count_runs(
+        w, piece.runs, piece.left_anchored, piece.right_anchored, starts
+    )

@@ -403,7 +403,21 @@ def equivalent_bounded(
     max_len: int,
 ) -> tuple[bool, str | None]:
     """Exhaustive evaluation oracle: first differing word up to max_len, if
-    any."""
+    any.  Raises ValueError, before evaluating anything, when there are more
+    than MAX_BOUNDED_WORDS words to try."""
+    k = len(alphabet.symbols)
+    if k > 1 and max_len >= MAX_BOUNDED_WORDS.bit_length():
+        # over 2**max_len words, past the cap: skip building the exact sum
+        count = f"more than {k}**{max_len}"
+    else:
+        count = max_len + 1 if k == 1 else (k ** (max_len + 1) - 1) // (k - 1)
+        if count <= MAX_BOUNDED_WORDS:
+            count = None
+    if count is not None:
+        raise ValueError(
+            f"bounded check over {count} words (length <= {max_len}, "
+            f"{k}-letter alphabet) exceeds the cap of {MAX_BOUNDED_WORDS}"
+        )
     for w in words_up_to(alphabet, max_len):
         if evaluate(e1, w) != evaluate(e2, w):
             return False, w
@@ -452,6 +466,8 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 # nesting bound for '(' and integer prefixes; each level costs at most three
 # parser frames, so parsing stays far below the interpreter's recursion limit
 MAX_NESTING = 100
+# most words equivalent_bounded enumerates (all words of length <= max_len)
+MAX_BOUNDED_WORDS = 10**6
 
 
 class _Parser:

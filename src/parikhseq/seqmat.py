@@ -24,10 +24,11 @@ of the matrices, which the streaming fold exploits letter by letter.
 
 from __future__ import annotations
 
+from functools import cache
 from operator import add
 from typing import Iterable, Union
 
-from .counting import count_piece
+from .counting import count_piece, factor_starts
 from .intmat import IntMatrix
 from .words import GapPattern, PatternError, Piece, SYMBOL_CHARS
 
@@ -120,13 +121,19 @@ def _assemble(pattern: GapPattern, blocks: dict[str, list[list[int]]]) -> SeqMat
 
 
 def seq_matrix_direct(pattern: GapPattern, w: str) -> SeqMatrix:
-    """Matrix built cell by cell from anchored-piece counts."""
+    """Matrix built cell by cell from anchored-piece counts.
+
+    Every cell is counted on its own by `count_piece`, with no value taken
+    from another cell; the calls share one start list per distinct run of
+    w, memoized for this call and dropped when it returns.
+    """
     d = block_dim(pattern)
+    starts = cache(factor_starts)
     return _assemble(
         pattern,
         {
             name: [
-                [count_piece(w, block_piece(pattern, name, i, j)) if i <= j else 0
+                [count_piece(w, block_piece(pattern, name, i, j), starts) if i <= j else 0
                  for i in range(1, d + 1)]
                 for j in range(1, d + 1)
             ]

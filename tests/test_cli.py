@@ -3,11 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from parikhseq import cli
+from parikhseq import cli, gsh
 from parikhseq.intmat import IntMatrix
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -248,6 +249,27 @@ class TestGsh:
     def test_equiv_maxlen_zero_allowed(self, capsys):
         code, out, _ = run_cli(capsys, "gsh", "equiv", "a", "a", "--maxlen", "0")
         assert code == 0 and "bounded (maxlen=0): true" in out
+
+    def test_equiv_over_word_cap_is_usage_error(self, capsys):
+        # 10 + 10**2 + ... + 10**9 words: refused before enumerating
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "gsh", "equiv", "a", "a",
+            "--alphabet", "abcdefghij", "--maxlen", "9",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "1111111111 words" in err and str(gsh.MAX_BOUNDED_WORDS) in err
+
+    def test_equiv_word_cap_is_inclusive(self, capsys, monkeypatch):
+        # words of length <= 3 over ab: 1 + 2 + 4 + 8 = 15
+        argv = ("gsh", "equiv", "a", "a", "--alphabet", "ab", "--maxlen", "3")
+        monkeypatch.setattr(gsh, "MAX_BOUNDED_WORDS", 15)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and "bounded (maxlen=3): true" in out
+        monkeypatch.setattr(gsh, "MAX_BOUNDED_WORDS", 14)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "15 words" in err
 
     @pytest.mark.parametrize(
         "text",

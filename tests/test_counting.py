@@ -1,7 +1,10 @@
 import random
+from functools import cache
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import enum_factor, enum_gapped, enum_piece, enum_subword
 from parikhseq.counting import (
@@ -165,3 +168,74 @@ class TestCountPiece:
             piece = Piece(runs)
             before = count_piece(w, piece)
             assert count_piece(w + rng.choice("ab"), piece) >= before
+
+
+@st.composite
+def piece_and_word(draw):
+    """Runs of 1-3 letters (1-4 of them) over ab or abc, random anchors, and
+    a word of 0-14 letters over the same alphabet."""
+    alphabet = draw(st.sampled_from(["ab", "abc"]))
+    letters = st.sampled_from(alphabet)
+    run = st.lists(letters, min_size=1, max_size=3).map("".join)
+    runs = tuple(draw(st.lists(run, min_size=1, max_size=4)))
+    piece = Piece(runs, draw(st.booleans()), draw(st.booleans()))
+    return piece, "".join(draw(st.lists(letters, max_size=14)))
+
+
+class TestSharedStarts:
+    @settings(max_examples=400, deadline=None)
+    @given(piece_and_word())
+    def test_cached_starts_agree_with_enumeration(self, case):
+        piece, w = case
+        expected = enum_piece(w, piece.runs, piece.left_anchored, piece.right_anchored)
+        assert count_piece(w, piece) == expected
+        assert count_piece(w, piece, cache(factor_starts)) == expected
+
+    @pytest.mark.parametrize(
+        "w,runs,left,right,expected",
+        [
+            # the last run is longer than the word
+            ("ab", ("a", "bab"), False, True, 0),
+            # overlapping runs: aa at 1 or 2, then the final a
+            ("aaaa", ("aa", "a"), False, True, 2),
+            ("aaaa", ("aa", "aa"), False, True, 1),
+            # both anchors with several runs
+            ("ab", ("a", "b"), True, True, 1),
+            ("aab", ("a", "b"), True, True, 1),
+            ("abb", ("a", "b"), True, True, 1),
+            ("ba", ("a", "b"), True, True, 0),
+            ("abab", ("ab", "ab"), True, True, 1),
+            ("aba", ("ab", "ba"), True, True, 0),
+            # the first run occurs, but not at position 1
+            ("ab", ("b",), True, False, 0),
+            ("aba", ("b", "a"), True, False, 0),
+            ("abab", ("b", "a", "b"), True, True, 0),
+            # the last run occurs, but not at the end
+            ("aba", ("a", "b"), False, True, 0),
+        ],
+    )
+    def test_anchored_ends(self, w, runs, left, right, expected):
+        assert enum_piece(w, runs, left, right) == expected
+        piece = Piece(runs, left, right)
+        assert count_piece(w, piece) == expected
+        assert count_piece(w, piece, cache(factor_starts)) == expected
+
+    def test_one_memo_across_words_keeps_words_apart(self):
+        starts = cache(factor_starts)
+        piece = Piece(("a", "b"))
+        assert count_piece("aab", piece, starts) == 2
+        assert count_piece("abab", piece, starts) == 3
+        assert count_piece("ba", piece, starts) == 0
+        assert count_piece("aab", Piece(("a", "b"), False, True), starts) == 2
+        assert count_piece("abab", Piece(("a", "b"), True, False), starts) == 2
+
+    def test_starts_lists_are_not_mutated(self):
+        lists = {}
+
+        def starts(w, run):
+            lists[run] = factor_starts(w, run)
+            return lists[run]
+
+        for piece in (Piece(("a", "b"), True, True), Piece(("a", "a", "b"), False, True)):
+            count_piece("aabab", piece, starts)
+        assert {run: factor_starts("aabab", run) for run in lists} == lists

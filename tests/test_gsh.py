@@ -345,6 +345,15 @@ class TestEquivalence:
         )
         assert not ok and cex == "a"
 
+    def test_bounded_word_cap(self):
+        e = parse_expr("a")
+        # one letter: max_len + 1 words, counted exactly
+        with pytest.raises(ValueError, match="1000001 words"):
+            equivalent_bounded(e, e, Alphabet.parse("a"), gsh.MAX_BOUNDED_WORDS)
+        # two letters, huge bound: refused without building 2**(max_len+1)
+        with pytest.raises(ValueError, match=r"more than 2\*\*1000000000 words"):
+            equivalent_bounded(e, e, AB, 10**9)
+
     def test_reflexive(self):
         e = parse_expr("(ab.c)*d-2(a.a)")
         assert equivalent(e, e)
