@@ -258,12 +258,16 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _add_word_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("word", nargs="?", help="word ('-' or omitted: stdin)")
-    parser.add_argument("--file", help="read the word from a file")
+def _add_format(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
+
+
+def _add_word_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("word", nargs="?", help="word ('-' or omitted: stdin)")
+    parser.add_argument("--file", help="read the word from a file")
+    _add_format(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,9 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     g_eval.set_defaults(func=cmd_gsh)
     g_lin = gsh_sub.add_parser("linearize", help="equivalent linear form")
     g_lin.add_argument("expr")
-    g_lin.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
+    _add_format(g_lin)
     g_lin.set_defaults(func=cmd_gsh)
     g_eq = gsh_sub.add_parser(
         "equiv", help="decide equivalence (canonical and bounded verdicts)"
@@ -327,9 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     g_eq.add_argument("expr2")
     g_eq.add_argument("--alphabet", default="ab")
     g_eq.add_argument("--maxlen", type=int, default=6)
-    g_eq.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
+    _add_format(g_eq)
     g_eq.set_defaults(func=cmd_gsh)
 
     p_verify = sub.add_parser("verify", help="run seeded property suites")
@@ -339,9 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--iters", type=int, default=200)
     p_verify.add_argument("--maxlen", type=int, default=5)
-    p_verify.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
+    _add_format(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

@@ -138,9 +138,6 @@ class LinearForm:
     def items(self) -> list[tuple[Monomial, int]]:
         return sorted(self._terms.items(), key=lambda kv: mono_key(kv[0]))
 
-    def coeff(self, m: Monomial) -> int:
-        return self._terms.get(canonical_mono(m), 0)
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -404,7 +401,8 @@ def equivalent_bounded(
 ) -> tuple[bool, str | None]:
     """Exhaustive evaluation oracle: first differing word up to max_len, if
     any.  Raises ValueError, before evaluating anything, when there are more
-    than MAX_BOUNDED_WORDS words to try."""
+    than MAX_BOUNDED_WORDS words to try or more than
+    MAX_BOUNDED_WORDS * MAX_BOUNDED_WORDS.bit_length() letters in them."""
     k = len(alphabet.symbols)
     if k > 1 and max_len >= MAX_BOUNDED_WORDS.bit_length():
         # over 2**max_len words, past the cap: skip building the exact sum
@@ -417,6 +415,18 @@ def equivalent_bounded(
         raise ValueError(
             f"bounded check over {count} words (length <= {max_len}, "
             f"{k}-letter alphabet) exceeds the cap of {MAX_BOUNDED_WORDS}"
+        )
+    # the word cap alone lets one letter reach maxlen ~10**6, ~5 * 10**11
+    # letters; with k >= 2 it forces maxlen < 20, so the sum stays short
+    if k == 1:
+        letters = max_len * (max_len + 1) // 2
+    else:
+        letters = sum(n * k**n for n in range(max_len + 1))
+    letter_cap = MAX_BOUNDED_WORDS * MAX_BOUNDED_WORDS.bit_length()
+    if letters > letter_cap:
+        raise ValueError(
+            f"bounded check over {letters} letters (length <= {max_len}, "
+            f"{k}-letter alphabet) exceeds the cap of {letter_cap}"
         )
     for w in words_up_to(alphabet, max_len):
         if evaluate(e1, w) != evaluate(e2, w):
@@ -463,10 +473,13 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
-# nesting bound for '(' and integer prefixes; each level costs at most three
-# parser frames, so parsing stays far below the interpreter's recursion limit
+# nesting bound for '(', integer prefixes and '*' chains together; a '(' or
+# prefix level costs at most three parser frames and any level at most one
+# tree level, so parsing and the recursive walks over the parsed tree stay far
+# below the interpreter's recursion limit
 MAX_NESTING = 100
-# most words equivalent_bounded enumerates (all words of length <= max_len)
+# most words equivalent_bounded enumerates (all words of length <= max_len);
+# times its bit length, most letters in them (2 * 10**7)
 MAX_BOUNDED_WORDS = 10**6
 
 
@@ -474,7 +487,6 @@ class _Parser:
     def __init__(self, tokens: list[tuple[str, str]]):
         self.tokens = tokens
         self.pos = 0
-        self.depth = 0
 
     def peek(self) -> tuple[str, str] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -486,54 +498,64 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expr(self) -> Expr:
+    # Each method takes the number of '(' and integer prefixes around the
+    # parse position and returns its node and the node's height in '(',
+    # integer prefix and '*' levels; depth + height never exceeds MAX_NESTING.
+    def expr(self, depth: int) -> tuple[Expr, int]:
         negate = False
         if self.peek() == ("op", "-"):
             self.take()
             negate = True
-        node = self.term()
+        node, height = self.term(depth)
         terms = [Neg(node) if negate else node]
         # one flat Sum per chain: a left-deep tree would recurse once per term
         while self.peek() in (("op", "+"), ("op", "-")):
             _, op = self.take()
-            rhs = self.term()
+            rhs, rhs_height = self.term(depth)
             terms.append(rhs if op == "+" else Neg(rhs))
-        return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+            height = max(height, rhs_height)
+        return (terms[0] if len(terms) == 1 else Sum(tuple(terms))), height
 
-    def term(self) -> Expr:
-        node = self.atom()
+    def term(self, depth: int) -> tuple[Expr, int]:
+        node, height = self.atom(depth)
+        # each '*' puts the whole left-deep Prod chain so far one level deeper,
+        # including factors parsed before the '*' was seen
         while self.peek() == ("op", "*"):
             self.take()
-            node = node * self.atom()
-        return node
+            rhs, rhs_height = self.atom(depth)
+            node = node * rhs
+            height = max(height, rhs_height) + 1
+            if depth + height > MAX_NESTING:
+                raise GshSyntaxError(f"expression nested deeper than {MAX_NESTING}")
+        return node, height
 
-    def atom(self) -> Expr:
+    def atom(self, depth: int) -> tuple[Expr, int]:
         kind, value = self.take()
         if kind == "mono":
             try:
-                return Mono(GapPattern.parse(value).factors)
+                return Mono(GapPattern.parse(value).factors), 0
             except PatternError as exc:
                 raise GshSyntaxError(str(exc)) from None
         if kind == "eps":
-            return EPSILON
+            return EPSILON, 0
         if kind != "int" and (kind, value) != ("op", "("):
             raise GshSyntaxError(f"unexpected token {value!r}")
-        self.depth += 1
-        if self.depth > MAX_NESTING:
+        depth += 1
+        if depth > MAX_NESTING:
             raise GshSyntaxError(f"expression nested deeper than {MAX_NESTING}")
         if kind == "int":
-            node = Scale(int(value), self.atom())
+            inner, height = self.atom(depth)
+            node = Scale(int(value), inner)
         else:
-            node = self.expr()
+            node, height = self.expr(depth)
             if self.take() != ("op", ")"):
                 raise GshSyntaxError("expected ')'")
-        self.depth -= 1
-        return node
+        return node, height + 1
 
 
 def parse_expr(text: str) -> Expr:
     parser = _Parser(_tokenize(text))
-    node = parser.expr()
+    node, _ = parser.expr(0)
     if parser.peek() is not None:
         raise GshSyntaxError(f"trailing input at {parser.peek()[1]!r}")
     return node

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from itertools import combinations
+from math import inf
 
 from .counting import count_gapped, factor_starts
 from .intmat import IntMatrix
@@ -99,6 +99,16 @@ def witness_word(pattern: GapPattern, w: str) -> tuple[int, ...]:
     by (start position, longer factor first, larger index first), matching
     the natural left-to-right scan of w.
 
+    The digraph is never built.  The symbols that must precede occurrence k
+    of q_l are occurrence k-1 of q_l, the occurrences of q_{l-1} that end
+    before it starts and the occurrences of q_{l+1} that start at or before
+    its end; the last two are prefixes of their start lists.  So only the
+    next unemitted occurrence of each factor can be ready, exactly when the
+    next unemitted occurrences of q_{l-1} and q_{l+1} lie outside those
+    prefixes, and ready occurrences belong to distinct factors, so they never
+    tie on the key.  After the start lists, the cost is O(N x) for N
+    occurrences in all.
+
     (A bubble-sort-style repair restricted to overlapping pairs cannot do
     this in general: for the pattern ba.a.b in the word "ba" the required
     word is a3 a2 a1, but the symbols for q_2 and q_3 never overlap, so no
@@ -107,54 +117,29 @@ def witness_word(pattern: GapPattern, w: str) -> tuple[int, ...]:
     factors = pattern.factors
     x = len(factors)
     occurrences = [factor_starts(w, q) for q in factors]
-
-    ready: list[tuple[tuple[int, int, int, int], tuple[int, int]]] = []
-    succs: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    indegree: dict[tuple[int, int], int] = {}
-
-    def key(level: int, ordinal: int) -> tuple[int, int, int, int]:
-        start = occurrences[level - 1][ordinal]
-        return (start, -len(factors[level - 1]), -level, ordinal)
-
-    for level in range(1, x + 1):
-        for ordinal in range(len(occurrences[level - 1])):
-            node = (level, ordinal)
-            succs[node] = []
-            indegree[node] = 0
-
-    def add_edge(a: tuple[int, int], b: tuple[int, int]) -> None:
-        succs[a].append(b)
-        indegree[b] += 1
-
-    for level in range(1, x + 1):
-        for ordinal in range(len(occurrences[level - 1]) - 1):
-            add_edge((level, ordinal), (level, ordinal + 1))
-    for level in range(1, x):
-        low_len = len(factors[level - 1])
-        for k, s_low in enumerate(occurrences[level - 1]):
-            end_low = s_low + low_len - 1
-            for m, s_high in enumerate(occurrences[level]):
-                if end_low < s_high:
-                    add_edge((level, k), (level + 1, m))
-                else:
-                    add_edge((level + 1, m), (level, k))
-
-    for node, deg in indegree.items():
-        if deg == 0:
-            heappush(ready, (key(*node), node))
+    # factors 1..x between two empty levels; head[l] is the start of the next
+    # unemitted occurrence of q_l, or inf once none is left
+    starts = [iter(()), *map(iter, occurrences), iter(())]
+    head = [next(it, inf) for it in starts]
+    size = [0, *map(len, factors), 0]
     word: list[int] = []
-    while ready:
-        _, node = heappop(ready)
-        word.append(node[0])
-        for nxt in succs[node]:
-            indegree[nxt] -= 1
-            if indegree[nxt] == 0:
-                heappush(ready, (key(*nxt), nxt))
-    if len(word) != len(succs):
-        raise RuntimeError(
-            "witness orientation graph has a cycle; this indicates a bug in "
-            "the construction, not an input problem"
-        )
+    for _ in range(sum(map(len, occurrences))):
+        # the next q_{l-1} occurrence must not end before head[l], and the
+        # next q_{l+1} one must start after it ends; inf is never ready
+        ready = [
+            (head[l], -size[l], -l)
+            for l in range(1, x + 1)
+            if head[l - 1] + size[l - 1] > head[l]
+            and head[l + 1] >= head[l] + size[l]
+        ]
+        if not ready:
+            raise RuntimeError(
+                "witness orientation graph has a cycle; this indicates a bug in "
+                "the construction, not an input problem"
+            )
+        level = -min(ready)[2]
+        head[level] = next(starts[level], inf)
+        word.append(level)
     return tuple(word)
 
 

@@ -281,6 +281,27 @@ class TestGsh:
         assert code == 2 and out == "" and "nested deeper" in err
 
 
+    @pytest.mark.parametrize("action, word", [("linearize", ()), ("eval", ("ab",))])
+    def test_long_product_chain_is_usage_error(self, capsys, action, word):
+        code, out, err = run_cli(capsys, "gsh", action, "*".join(["a"] * 3000), *word)
+        assert code == 2 and out == "" and "nested deeper" in err
+
+    def test_stacked_product_chains_are_usage_error(self, capsys):
+        # each chain fits the bound on its own, but their first factors nest
+        text = "a" + "*a" * 41
+        for depth in range(58, -1, -1):
+            text = "(" + text + ")" + "*a" * (gsh.MAX_NESTING - depth)
+        code, out, err = run_cli(capsys, "gsh", "eval", text, "ab")
+        assert code == 2 and out == "" and "nested deeper" in err
+
+    def test_equiv_over_letter_cap_is_usage_error(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "gsh", "equiv", "a", "a", "--alphabet", "a", "--maxlen", "999999"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == "" and "letters" in err
+
     def test_long_sum_chain(self, capsys):
         code, out, _ = run_cli(capsys, "gsh", "linearize", "+".join(["a"] * 3000))
         assert code == 0 and out.strip() == "3000(a)"

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -88,6 +89,30 @@ class TestParse:
             parse_expr("(" * depth + "a" + ")" * depth)
         with pytest.raises(GshSyntaxError):
             parse_expr("2 " * depth + "a")
+
+    def test_product_chain_within_the_bound_parses(self):
+        node = parse_expr("*".join(["a"] * (gsh.MAX_NESTING + 1)))
+        for _ in range(gsh.MAX_NESTING):
+            assert isinstance(node, Prod)
+            node = node.parts[0]
+        assert node == Mono(("a",))
+        with pytest.raises(GshSyntaxError, match="nested deeper"):
+            parse_expr("*".join(["a"] * (gsh.MAX_NESTING + 2)))
+
+    def test_product_chains_count_with_enclosing_levels(self):
+        half = gsh.MAX_NESTING // 2
+        parse_expr("(" * half + "*".join(["a"] * (half + 1)) + ")" * half)
+        with pytest.raises(GshSyntaxError):
+            parse_expr("(" * half + "*".join(["a"] * (half + 2)) + ")" * half)
+        # a chain's first factor sits below every later '*' of that chain
+        parse_expr("(" + "*".join(["a"] * half) + ")" + "*a" * half)
+        with pytest.raises(GshSyntaxError):
+            parse_expr("(" + "*".join(["a"] * half) + ")" + "*a" * (half + 1))
+
+    def test_product_chains_do_not_accumulate_across_terms(self):
+        chain = "*".join(["a"] * gsh.MAX_NESTING)
+        parse_expr(" + ".join([chain] * 30))
+        parse_expr("*".join(["(a+a)"] * (gsh.MAX_NESTING // 2)))
 
 
 class TestEvaluate:
@@ -353,6 +378,23 @@ class TestEquivalence:
         # two letters, huge bound: refused without building 2**(max_len+1)
         with pytest.raises(ValueError, match=r"more than 2\*\*1000000000 words"):
             equivalent_bounded(e, e, AB, 10**9)
+
+    def test_bounded_letter_cap(self):
+        e = parse_expr("a")
+        # 10**6 words of length <= 999999 pass the word cap, but they hold
+        # ~5 * 10**11 letters
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="499999500000 letters"):
+            equivalent_bounded(e, e, Alphabet.parse("a"), 999_999)
+        assert time.perf_counter() - start < 1.0
+
+    def test_bounded_letter_cap_is_inclusive(self, monkeypatch):
+        # cap 15 words, 15 * 4 = 60 letters; maxlen 10 holds 55, maxlen 11 66
+        e = parse_expr("a")
+        monkeypatch.setattr(gsh, "MAX_BOUNDED_WORDS", 15)
+        assert equivalent_bounded(e, e, Alphabet.parse("a"), 10) == (True, None)
+        with pytest.raises(ValueError, match="66 letters"):
+            equivalent_bounded(e, e, Alphabet.parse("a"), 11)
 
     def test_reflexive(self):
         e = parse_expr("(ab.c)*d-2(a.a)")

@@ -1,4 +1,6 @@
+import hashlib
 import random
+import time
 
 import pytest
 
@@ -23,6 +25,10 @@ REFERENCE_MINOR = IntMatrix([[1, 2, 0, 0], [0, 1, 1, 0], [0, 0, 1, 2], [0, 0, 0,
 
 def random_word(rng, alphabet, max_len):
     return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, max_len)))
+
+
+def seeded_word(seed, alphabet, n):
+    return "".join(random.Random(seed).choices(alphabet, k=n))
 
 
 def random_pattern(rng, alphabet, max_factors=3):
@@ -97,6 +103,67 @@ class TestWitnessWord:
         witness = witness_word(q, "ba")
         assert witness == (3, 2, 1)
         assert witness_parikh_matrix(witness, 3) == special_minor(q, "ba")
+
+    @pytest.mark.parametrize(
+        "text, w, expected",
+        [
+            ("a.b", "abba", (1, 2, 2, 1)),
+            ("ab.ba", "abab", (2, 1, 1)),
+            ("a.a", "aaa", (2, 1, 2, 1, 2, 1)),
+            ("aa.a", "aaaa", (2, 2, 1, 2, 1, 2, 1)),
+            ("ab.b.a", "abba", (3, 2, 1, 2, 3)),
+            ("a.aba.a", "ababa", (3, 3, 2, 1, 3, 2, 1, 1)),
+            ("abc.bca.cab.acb", "abcabca", (3, 2, 1, 2, 1)),
+            ("a.aa.a", "aaa", (3, 3, 2, 1, 3, 2, 1, 1)),
+            # equal starts on non-adjacent factors: longer first, then larger
+            ("a.b.ab", "abab", (3, 1, 2, 3, 1, 2)),
+            ("a.b.a", "aba", (3, 1, 2, 3, 1)),
+        ],
+    )
+    def test_pinned_order(self, text, w, expected):
+        assert witness_word(GapPattern.parse(text), w) == expected
+
+    @pytest.mark.parametrize(
+        "text, alphabet, seed, length, digest",
+        [
+            (
+                "a.b", "ab", 1, 2000,
+                "2b66adf18c95c28f09afc6d87ea73b8fc3a519cb986ce840ea861cfb479c7399",
+            ),
+            (
+                "aba.bba.aab", "ab", 2, 734,
+                "63f20c3faae802ea56897e6508fe083565abda9f4ca82a5f483b118fa0ca0049",
+            ),
+            (
+                "abc.bca.cab.acb", "abc", 3, 276,
+                "b011c7ef4b84cfab8e710d3a274ef1bd97d61c882229cf1cbed6e72b7f684be9",
+            ),
+            (
+                "ab.ab.ab", "ab", 4, 1494,
+                "6c9fccc8735ba988cb1b932e82f579ac34b17f634cb0b0e12e206b88a9e01f0d",
+            ),
+            (
+                "a.aa.a", "ab", 5, 2623,
+                "8c0f190a7179c2c101c897fc19e2e8a172293f172484bb45062ed214a7e59c62",
+            ),
+        ],
+    )
+    def test_pinned_order_on_long_words(self, text, alphabet, seed, length, digest):
+        # sha256 of repr(witness) on a seeded 2000-letter word: the exact
+        # symbol order is part of the output, not just the Parikh matrix
+        w = seeded_word(seed, alphabet, 2000)
+        witness = witness_word(GapPattern.parse(text), w)
+        assert len(witness) == length
+        assert hashlib.sha256(repr(witness).encode()).hexdigest() == digest
+
+    def test_four_thousand_letters_under_a_second(self):
+        # a.b on 4000 letters has ~2000 occurrences of each factor; an
+        # explicit orientation graph would hold ~4 * 10**6 edges
+        w = seeded_word(6, "ab", 4000)
+        start = time.perf_counter()
+        witness = witness_word(GapPattern.parse("a.b"), w)
+        assert time.perf_counter() - start < 1.0
+        assert len(witness) == 4000
 
     def test_witness_text_uses_commas_for_wide_patterns(self):
         assert witness_text((10, 2), 10) == "a10,a2"
