@@ -281,16 +281,26 @@ def run_gsh(max_len: int) -> FuzzReport:
         linear = gsh.linearize(expr)
         alphabet = Alphabet.parse(alpha_text)
         bound = min(max_len, cap)
-        for w in gsh.words_up_to(alphabet, bound):
-            cases += 1
-            if gsh.evaluate(linear, w) != gsh.evaluate(expr, w):
-                w = _shrink_word(
-                    w, lambda v: gsh.evaluate(linear, v) != gsh.evaluate(expr, v)
-                )
-                return FuzzReport(
-                    "gsh", cases, False, f"expr={text} w={w!r}"
-                )
+        w = gsh.first_difference(linear, expr, alphabet, bound)
+        if w is None:
+            cases += sum(len(alphabet) ** n for n in range(bound + 1))
+            continue
+        cases += _words_through(w, alphabet)
+        w = _shrink_word(
+            w, lambda v: gsh.evaluate(linear, v) != gsh.evaluate(expr, v)
+        )
+        return FuzzReport("gsh", cases, False, f"expr={text} w={w!r}")
     return FuzzReport("gsh", cases, True)
+
+
+def _words_through(w: str, alphabet: Alphabet) -> int:
+    """Words up to and including w in words_up_to order: the shorter ones,
+    then w's rank among its length read as a base-k numeral."""
+    k = len(alphabet)
+    rank = 0
+    for ch in w:
+        rank = rank * k + alphabet.symbols.index(ch)
+    return sum(k**n for n in range(len(w))) + rank + 1
 
 
 # suite name -> runner taking (seed, iters, max_len); SUITES keeps this order

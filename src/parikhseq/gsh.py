@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from .counting import count_gapped
 from .words import Alphabet, GapPattern, PatternError
@@ -162,7 +162,7 @@ class LinearForm:
         return LinearForm({m: coeff * c for m, c in self._terms.items()})
 
     def evaluate(self, w: str) -> int:
-        return sum(c * _mono_value(m, w) for m, c in self._terms.items())
+        return _value(self, lambda m: _mono_value(m, w))
 
     def render(self) -> str:
         if not self._terms:
@@ -205,35 +205,46 @@ def _mono_value(m: Monomial, w: str) -> int:
     return count_gapped(w, GapPattern(m))
 
 
-def evaluate(e: Union[Expr, LinearForm], w: str) -> int:
-    """Value of an expression or linear form in w."""
+def _value(e: Union[Expr, LinearForm], mono_value: Callable[[Monomial], int]) -> int:
+    """Value of an expression or linear form, given the value of each of its
+    monomials; every monomial is looked up, none skipped."""
     if isinstance(e, LinearForm):
-        return e.evaluate(w)
+        return sum(c * mono_value(m) for m, c in e._terms.items())
     if isinstance(e, Mono):
-        return _mono_value(e.factors, w)
+        return mono_value(e.factors)
     if isinstance(e, Neg):
-        return -evaluate(e.inner, w)
+        return -_value(e.inner, mono_value)
     if isinstance(e, Sum):
-        return sum(evaluate(t, w) for t in e.terms)
+        return sum(_value(t, mono_value) for t in e.terms)
     if isinstance(e, Prod):
         value = 1
         for p in e.parts:
-            value *= evaluate(p, w)
+            value *= _value(p, mono_value)
         return value
     if isinstance(e, Scale):
-        return e.coeff * evaluate(e.inner, w)
+        return e.coeff * _value(e.inner, mono_value)
     raise TypeError(f"not an expression: {e!r}")
+
+
+def evaluate(e: Union[Expr, LinearForm], w: str) -> int:
+    """Value of an expression or linear form in w."""
+    return _value(e, lambda m: _mono_value(m, w))
 
 
 def _placements(runs: Monomial, max_end: int) -> Iterator[tuple[int, ...]]:
     """Start tuples with gap >= 0 between runs and every span within
     [1, max_end]."""
+    # rest[k]: total length of runs[k:]; run k starts early enough to leave
+    # room for itself and every later run, so no dead prefix is explored
+    rest = [0] * (len(runs) + 1)
+    for k in range(len(runs) - 1, -1, -1):
+        rest[k] = rest[k + 1] + len(runs[k])
 
     def rec(k: int, lo: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
         if k == len(runs):
             yield tuple(acc)
             return
-        top = max_end - len(runs[k]) + 1
+        top = max_end - rest[k] + 1
         for start in range(lo, top + 1):
             acc.append(start)
             yield from rec(k + 1, start + len(runs[k]), acc)
@@ -399,10 +410,14 @@ def equivalent_bounded(
     alphabet: Alphabet,
     max_len: int,
 ) -> tuple[bool, str | None]:
-    """Exhaustive evaluation oracle: first differing word up to max_len, if
-    any.  Raises ValueError, before evaluating anything, when there are more
-    than MAX_BOUNDED_WORDS words to try or more than
-    MAX_BOUNDED_WORDS * MAX_BOUNDED_WORDS.bit_length() letters in them."""
+    """Exhaustive evaluation oracle: (False, first differing word) or
+    (True, None), over every word of length <= max_len, in words_up_to order.
+    The words are walked as a trie by first_difference, which updates each
+    monomial's count from the node's ancestors instead of recounting it per
+    word (cost per trie node in its docstring).  Raises ValueError, before
+    evaluating anything, when there are more than MAX_BOUNDED_WORDS words to
+    try or more than MAX_BOUNDED_WORDS * MAX_BOUNDED_WORDS.bit_length()
+    letters in them."""
     k = len(alphabet.symbols)
     if k > 1 and max_len >= MAX_BOUNDED_WORDS.bit_length():
         # over 2**max_len words, past the cap: skip building the exact sum
@@ -428,10 +443,92 @@ def equivalent_bounded(
             f"bounded check over {letters} letters (length <= {max_len}, "
             f"{k}-letter alphabet) exceeds the cap of {letter_cap}"
         )
-    for w in words_up_to(alphabet, max_len):
-        if evaluate(e1, w) != evaluate(e2, w):
-            return False, w
-    return True, None
+    w = first_difference(e1, e2, alphabet, max_len)
+    return w is None, w
+
+
+def first_difference(
+    e1: Union[Expr, LinearForm],
+    e2: Union[Expr, LinearForm],
+    alphabet: Alphabet,
+    max_len: int,
+) -> str | None:
+    """First word of length <= max_len, in words_up_to order (shorter first,
+    then alphabet order), on which e1 and e2 differ; None if there is none.
+
+    Every monomial r_1. ... .r_t of either side has counts N_0..N_t per word,
+    N_i the occurrences of r_1. ... .r_i, N_0 = 1 and the monomial's value
+    N_t.  Appending letter c to u gives
+
+        N_i(uc) = N_i(u) + [uc ends with r_i] * N_{i-1}(v),
+
+    v the prefix of uc of length |uc| - |r_i|: the occurrences ending before
+    the last letter, plus those whose r_i is the suffix of uc.  v is an
+    ancestor of uc in the trie of words, so one depth-first walk keeps the
+    counts of the current path's nodes, one list per depth, and computes each
+    node from them.  Cost per trie node: a copy of the parent's counts, one
+    endswith per distinct run ending in c, one addition per run position
+    whose suffix test passed, and one evaluation of each side's tree on the
+    counts.
+
+    The walk is iterative (an explicit stack; one-letter alphabets go
+    thousands deep) and visits letters in alphabet order, so among words of
+    one length it meets them in words_up_to order.  It keeps the shortest,
+    then earliest, differing word met and skips every node not shorter than
+    it, which also skips the later siblings of a differing node; what remains
+    of the walk only looks for a shorter word.  No caps are checked here:
+    equivalent_bounded checks them before it calls this.
+    """
+    # one list of counts per node: slot 0 holds N_0 = 1, then N_1..N_t of
+    # each distinct monomial; slot_of gives the slot of its value N_t
+    counts = [1]  # the empty word's
+    slot_of: dict[Monomial, int] = {(): 0}
+    updates: dict[str, list[tuple[int, int]]] = {}  # run -> (N_i slot, N_{i-1} slot)
+
+    def register(m: Monomial) -> int:
+        if m not in slot_of:
+            prev = 0
+            for run in m:
+                counts.append(0)
+                updates.setdefault(run, []).append((len(counts) - 1, prev))
+                prev = len(counts) - 1
+            slot_of[m] = prev
+        return 0
+
+    # evaluating each side once with a recording lookup collects its monomials
+    _value(e1, register)
+    _value(e2, register)
+    plan = {
+        c: [(run, len(run), pairs) for run, pairs in updates.items() if run[-1] == c]
+        for c in alphabet.symbols
+    }
+
+    def value(m: Monomial) -> int:
+        return counts[slot_of[m]]
+
+    if _value(e1, value) != _value(e2, value):
+        return ""
+    path = [counts]  # path[d]: counts of the current node's ancestor of length d
+    letters = alphabet.symbols[::-1]
+    stack = list(letters) if max_len else []
+    best: str | None = None
+    while stack:
+        word = stack.pop()
+        depth = len(word)
+        if best is not None and depth >= len(best):
+            continue
+        counts = path[depth - 1].copy()
+        for run, n, pairs in plan[word[-1]]:
+            if word.endswith(run):
+                before = path[depth - n]
+                for slot, prev in pairs:
+                    counts[slot] += before[prev]
+        path[depth:] = [counts]
+        if _value(e1, value) != _value(e2, value):
+            best = word
+        elif depth < max_len and (best is None or depth + 1 < len(best)):
+            stack.extend(word + c for c in letters)
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -110,17 +110,6 @@ class IntMatrix:
             self.rows[i][i] == 1 for i in range(self.dim)
         )
 
-    def diff(self, other: IntMatrix) -> list[tuple[int, int, int, int]]:
-        """Cells where the matrices differ: (row, col, self value, other value), 1-based."""
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} != {other.dim}")
-        return [
-            (i + 1, j + 1, self.rows[i][j], other.rows[i][j])
-            for i in range(self.dim)
-            for j in range(self.dim)
-            if self.rows[i][j] != other.rows[i][j]
-        ]
-
     def to_json_dict(self) -> dict:
         """JSON form: entries as decimal strings to survive big integers."""
         return {

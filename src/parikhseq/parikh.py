@@ -34,19 +34,9 @@ class ParikhContext:
         """Inducing word = the alphabet in order (the original mapping)."""
         return cls(alphabet, alphabet.concat())
 
-    @classmethod
-    def induced_by(cls, inducing: str, alphabet: Alphabet | None = None) -> ParikhContext:
-        if alphabet is None:
-            alphabet = Alphabet(tuple(sorted(set(inducing))))
-        return cls(alphabet, inducing)
-
     @property
     def dim(self) -> int:
         return len(self.inducing) + 1
-
-    @property
-    def is_classic(self) -> bool:
-        return self.inducing == self.alphabet.concat()
 
 
 def letter_matrix(ctx: ParikhContext, letter: str) -> IntMatrix:

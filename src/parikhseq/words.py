@@ -49,15 +49,6 @@ class Alphabet:
     def parse(cls, text: str) -> Alphabet:
         return cls(tuple(text))
 
-    def index(self, symbol: str) -> int:
-        """1-based order index of a symbol."""
-        try:
-            return self.symbols.index(symbol) + 1
-        except ValueError:
-            raise PatternError(
-                f"symbol {symbol!r} not in alphabet {self.concat()!r}"
-            ) from None
-
     def concat(self) -> str:
         """The symbols concatenated in order."""
         return "".join(self.symbols)
@@ -162,12 +153,6 @@ class GapPattern:
     @property
     def flat_length(self) -> int:
         return len(self.flat)
-
-    def letter(self, i: int) -> str:
-        """The i-th letter of the flattened pattern (1-based)."""
-        if not 1 <= i <= len(self.flat):
-            raise ValueError(f"letter index {i} outside [1, {len(self.flat)}]")
-        return self.flat[i - 1]
 
     def piece(
         self,

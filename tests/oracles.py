@@ -1,15 +1,28 @@
-"""Brute-force reference implementations used only by the tests.
+"""Brute-force reference implementations and accessors used only by the tests.
 
 The counters enumerate occurrence tuples literally (feasible up to |w| ~ 12),
-independent of the tabulated counters in the package.  The generalized
-subword history helpers at the end are the ground shuffle, the interleaving
-test, and the literal junction rules, which undercount and are kept only for
-comparison with `parikhseq.gsh.linearize_product`.
+independent of the tabulated counters in the package.  The small accessors
+after them (matrix cell diff, symbol index, pattern letter, induced Parikh
+context) serve only test code.  The generalized subword history helpers at
+the end are the ground shuffle, the interleaving test, the literal junction
+rules, which undercount and are kept only for comparison with
+`parikhseq.gsh.linearize_product`, and word-by-word bounded evaluation, the
+oracle for `parikhseq.gsh.first_difference`.
 """
 
 from itertools import combinations
 
-from parikhseq.gsh import LinearForm, Monomial, canonical_mono, red
+from parikhseq.gsh import (
+    LinearForm,
+    Monomial,
+    canonical_mono,
+    evaluate,
+    red,
+    words_up_to,
+)
+from parikhseq.intmat import IntMatrix
+from parikhseq.parikh import ParikhContext
+from parikhseq.words import Alphabet, GapPattern, PatternError
 
 
 def enum_subword(w: str, u: str) -> int:
@@ -84,6 +97,46 @@ def det_cofactor(rows) -> int:
         term = rows[0][j] * det_cofactor(sub)
         total += term if j % 2 == 0 else -term
     return total
+
+
+def matrix_diff(a: IntMatrix, b: IntMatrix) -> list[tuple[int, int, int, int]]:
+    """Cells where the matrices differ: (row, col, a value, b value), 1-based."""
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
+    return [
+        (i + 1, j + 1, a.rows[i][j], b.rows[i][j])
+        for i in range(a.dim)
+        for j in range(a.dim)
+        if a.rows[i][j] != b.rows[i][j]
+    ]
+
+
+def symbol_index(alphabet: Alphabet, symbol: str) -> int:
+    """1-based order index of a symbol."""
+    try:
+        return alphabet.symbols.index(symbol) + 1
+    except ValueError:
+        raise PatternError(
+            f"symbol {symbol!r} not in alphabet {alphabet.concat()!r}"
+        ) from None
+
+
+def pattern_letter(pattern: GapPattern, i: int) -> str:
+    """The i-th letter of the flattened pattern (1-based)."""
+    if not 1 <= i <= len(pattern.flat):
+        raise ValueError(f"letter index {i} outside [1, {len(pattern.flat)}]")
+    return pattern.flat[i - 1]
+
+
+def induced_by(inducing: str, alphabet: Alphabet | None = None) -> ParikhContext:
+    """Context of an inducing word; the alphabet defaults to its letters, sorted."""
+    if alphabet is None:
+        alphabet = Alphabet(tuple(sorted(set(inducing))))
+    return ParikhContext(alphabet, inducing)
+
+
+def is_classic(ctx: ParikhContext) -> bool:
+    return ctx.inducing == ctx.alphabet.concat()
 
 
 def ground_shuffle(p: Monomial, q: Monomial) -> list[Monomial]:
@@ -183,3 +236,13 @@ def linearize_product_literal(p: Monomial, q: Monomial) -> LinearForm:
 
     terms(0, 0, [])
     return LinearForm(acc)
+
+
+def first_difference_per_word(e1, e2, alphabet: Alphabet, max_len: int) -> str | None:
+    """First word in words_up_to order on which e1 and e2 differ, each side
+    evaluated from scratch in every word; the oracle for
+    `parikhseq.gsh.first_difference`."""
+    for w in words_up_to(alphabet, max_len):
+        if evaluate(e1, w) != evaluate(e2, w):
+            return w
+    return None

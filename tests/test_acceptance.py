@@ -9,6 +9,7 @@ import random
 import time
 from contextlib import contextmanager
 
+from oracles import matrix_diff
 from parikhseq import fuzz, gsh
 from parikhseq.counting import count_subword
 from parikhseq.intmat import IntMatrix
@@ -158,13 +159,13 @@ def test_criterion_4_disputed_cells_report():
         offsets = {name: (r * d, c * d) for name, (r, c) in BLOCK_OFFSETS.items()}
 
         report = []
-        for row, col, got, printed in computed.diff(reference):
+        for row, col, got, printed in matrix_diff(computed, reference):
             for name, (r0, c0) in offsets.items():
                 if r0 < row <= r0 + d and c0 < col <= c0 + d:
                     report.append((name, row - r0, col - c0, printed, got))
         assert {(name, i, j) for name, i, j, _, _ in report} == DISPUTED_CELLS
         assert all(printed == 2 and got == 1 for _, _, _, printed, got in report)
-        assert len(computed.diff(reference)) == 3
+        assert len(matrix_diff(computed, reference)) == 3
         for name, i, j, printed, got in sorted(report):
             print(f"  disputed cell {name}[{i}][{j}]: reference {printed}, computed {got}")
 

@@ -302,6 +302,17 @@ class TestGsh:
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == "" and "letters" in err
 
+    def test_equiv_one_letter_at_the_letter_cap(self, capsys):
+        # the largest one-letter maxlen both caps admit: 6325 words, walked
+        # 6324 deep
+        start = time.perf_counter()
+        code, out, _ = run_cli(
+            capsys, "gsh", "equiv", "a*a", "2(a.a)+a", "--alphabet", "a", "--maxlen", "6324"
+        )
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        assert out.splitlines() == ["canonical: true", "bounded (maxlen=6324): true"]
+
     def test_long_sum_chain(self, capsys):
         code, out, _ = run_cli(capsys, "gsh", "linearize", "+".join(["a"] * 3000))
         assert code == 0 and out.strip() == "3000(a)"

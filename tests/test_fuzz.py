@@ -1,3 +1,5 @@
+import pytest
+
 from parikhseq import fuzz
 from parikhseq.words import GapPattern
 
@@ -54,7 +56,28 @@ class TestSuites:
         assert a == b
 
     def test_unknown_suite(self):
-        import pytest
-
         with pytest.raises(ValueError):
             fuzz.run_suite("nonsense", 0, 1, 1)
+
+    @pytest.mark.parametrize(
+        "broken, extra, expected",
+        [
+            # ba is the sixth word over ab: '', a, b, aa, ab, ba
+            ("a*a", ("ba",), fuzz.FuzzReport("gsh", 6, False, "expr=a*a w='ba'")),
+            # three passing expressions of 127 words each, then cd, the 17th
+            # word over abcd; the shrinker keeps it
+            ("(ab.c)*d", ("cd",),
+             fuzz.FuzzReport("gsh", 3 * 127 + 17, False, "expr=(ab.c)*d w='cd'")),
+        ],
+    )
+    def test_gsh_failure_report(self, monkeypatch, broken, extra, expected):
+        linearize = fuzz.gsh.linearize
+
+        def off_by_one(e):
+            linear = linearize(e)
+            if e == fuzz.gsh.parse_expr(broken):
+                linear = linear + fuzz.gsh.LinearForm({extra: 1})
+            return linear
+
+        monkeypatch.setattr(fuzz.gsh, "linearize", off_by_one)
+        assert fuzz.run_gsh(6) == expected

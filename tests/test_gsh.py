@@ -2,9 +2,12 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     enum_run_tuples,
+    first_difference_per_word,
     ground_shuffle,
     is_interleaved,
     linearize_product_literal,
@@ -339,6 +342,23 @@ class TestLinearize:
             for w in words_up_to(alphabet, bound):
                 assert linear.evaluate(w) == evaluate(e, w), (text, w)
 
+    def test_thirty_factor_chain_under_a_second(self):
+        # |w|_a ** 30 = sum_k S(30, k) k! C(|w|_a, k), and C(|w|_a, k) counts
+        # the k-fold a.a. ... .a; S are Stirling numbers of the second kind
+        stirling = [1] + [0] * 30
+        for _ in range(30):
+            stirling = [0] + [k * stirling[k] + stirling[k - 1] for k in range(1, 31)]
+        start = time.perf_counter()
+        linear = linearize(parse_expr("*".join(["a"] * 30)))
+        assert time.perf_counter() - start < 1.0
+        factorial = 1
+        expected = {}
+        for k in range(1, 31):
+            factorial *= k
+            expected[("a",) * k] = factorial * stirling[k]
+        assert linear == LinearForm(expected)
+        assert expected[("a", "a")] == 1073741822
+
     def test_single_letter_monomials_match_subword_counts(self):
         rng = random.Random(53)
         for _ in range(100):
@@ -414,6 +434,97 @@ class TestEquivalence:
             assert equivalent(e1, e2)
             ok, cex = equivalent_bounded(e1, e2, AB, 5)
             assert ok, (left, right, cex)
+
+
+def _monos(alphabet: str):
+    factor = st.text(alphabet=alphabet, min_size=1, max_size=2)
+    # an empty factor list is #e
+    return st.lists(factor, max_size=3).map(lambda fs: Mono(tuple(fs)))
+
+
+def _exprs(alphabet: str):
+    return st.recursive(
+        _monos(alphabet),
+        lambda inner: st.one_of(
+            inner.map(Neg),
+            st.builds(Scale, st.integers(-3, 3), inner),
+            st.lists(inner, min_size=1, max_size=3).map(lambda ts: Sum(tuple(ts))),
+            st.lists(inner, min_size=1, max_size=2).map(lambda ps: Prod(tuple(ps))),
+        ),
+        max_leaves=4,
+    )
+
+
+def _forms(alphabet: str):
+    return st.dictionaries(
+        _monos(alphabet).map(lambda m: m.factors), st.integers(-3, 3), max_size=4
+    ).map(LinearForm)
+
+
+# built once: hypothesis validates a strategy object on its first draw
+_SIDES = {
+    alphabet: (_exprs(alphabet), _forms(alphabet))
+    for alphabet in ("a", "b", "ab", "ba", "abc")
+}
+
+
+@st.composite
+def _difference_cases(draw):
+    alphabet = draw(st.sampled_from(sorted(_SIDES)))
+    exprs, forms = _SIDES[alphabet]
+    e1 = draw(exprs)
+    kind = draw(st.sampled_from(["linear form", "perturbed form", "any"]))
+    if kind == "any":
+        e2 = draw(st.one_of(exprs, forms))
+    else:
+        e2 = linearize(e1)
+        if kind == "perturbed form":
+            e2 = e2 + draw(forms)
+    if draw(st.booleans()):
+        e1, e2 = e2, e1
+    return e1, e2, Alphabet.parse(alphabet), draw(st.integers(0, 4))
+
+
+class TestFirstDifference:
+    @settings(max_examples=300, deadline=None)
+    @given(_difference_cases())
+    def test_agrees_with_per_word_evaluation(self, case):
+        e1, e2, alphabet, max_len = case
+        assert gsh.first_difference(e1, e2, alphabet, max_len) == (
+            first_difference_per_word(e1, e2, alphabet, max_len)
+        )
+
+    def test_empty_word_and_maxlen_zero(self):
+        a = Alphabet.parse("a")
+        assert gsh.first_difference(EPSILON, parse_expr("2#e"), a, 0) == ""
+        assert gsh.first_difference(parse_expr("a.b"), LinearForm.zero(), AB, 0) is None
+
+    def test_monomial_longer_than_maxlen_never_differs(self):
+        assert gsh.first_difference(parse_expr("ab.ba"), LinearForm.zero(), AB, 3) is None
+        assert gsh.first_difference(parse_expr("ab.ba"), LinearForm.zero(), AB, 4) == "abba"
+
+    def test_earliest_in_alphabet_order_among_one_length(self):
+        zero = LinearForm.zero()
+        assert gsh.first_difference(parse_expr("a+b"), zero, AB, 2) == "a"
+        assert gsh.first_difference(parse_expr("a+b"), zero, Alphabet.parse("ba"), 2) == "b"
+        assert gsh.first_difference(parse_expr("a*b"), zero, AB, 3) == "ab"
+
+    def test_shorter_word_found_after_a_deeper_one(self):
+        # the depth-first walk meets aa before b; b is shorter, so it wins
+        e = parse_expr("aa+b")
+        assert gsh.first_difference(e, LinearForm.zero(), AB, 4) == "b"
+        assert gsh.first_difference(parse_expr("b"), EPSILON - EPSILON, AB, 3) == "b"
+
+    def test_one_letter_walk_goes_thousands_deep(self):
+        a = Alphabet.parse("a")
+        start = time.perf_counter()
+        assert equivalent_bounded(
+            parse_expr("a*a"), parse_expr("2(a.a)+a"), a, 6324
+        ) == (True, None)
+        # fifty factors a^100 first occur together in a^5000
+        deep = Mono(("a" * 100,) * 50)
+        assert gsh.first_difference(deep, LinearForm.zero(), a, 6324) == "a" * 5000
+        assert time.perf_counter() - start < 2.0
 
 
 class TestLinearFormBasics:

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+from itertools import combinations
 
 import pytest
 
@@ -213,6 +214,21 @@ class TestMinorSweep:
         assert not sweep.all_nonnegative
         assert ((1, 2), (2, 3), -1) in sweep.violations
 
+    def test_nonnegativity_covers_the_special_minor_only(self):
+        # the claim is about the special minor: the full sequence matrix of
+        # ab.ba on baba has negative 2x2 minors
+        q = GapPattern.parse("ab.ba")
+        full = seq_matrix(q, "baba").matrix
+        pairs = list(combinations(range(1, full.dim + 1), 2))
+        negative = [
+            (rows, cols) for rows in pairs for cols in pairs
+            if full.minor(rows, cols).det() < 0
+        ]
+        assert len(negative) == 30
+        assert full.minor((1, 2), (2, 4)).det() == -1
+        minor = special_minor(q, "baba")
+        assert check_minor_nonneg(minor, minor.dim).all_nonnegative
+
     def test_requires_unit_upper_triangular(self):
         with pytest.raises(ValueError):
             check_minor_nonneg(IntMatrix([[2, 0], [0, 1]]), 2)
@@ -226,8 +242,6 @@ class TestMinorSweep:
             assert check_minor_nonneg(minor, minor.dim).all_nonnegative
 
     def test_elimination_agrees_with_cofactor_on_submatrices(self):
-        from itertools import combinations
-
         from oracles import det_cofactor
 
         minor = special_minor(GapPattern.parse("ab.c.ba"), "abcbaabcba")

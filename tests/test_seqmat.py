@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import enum_piece
+from oracles import enum_piece, induced_by
 from parikhseq.counting import count_gapped
 from parikhseq.intmat import IntMatrix
 from parikhseq.minors import minor_index_set
-from parikhseq.parikh import ParikhContext, parikh_matrix
+from parikhseq.parikh import parikh_matrix
 from parikhseq.seqmat import (
     BLOCKS,
     SeqFold,
@@ -347,7 +347,7 @@ class TestStructuralInvariants:
             w = random_word(rng, "ab", 10)
             idx = minor_index_set(q)
             minor = seq_matrix(q, w).matrix.minor(idx, idx)
-            ctx = ParikhContext.induced_by("".join(factors), Alphabet.parse("ab"))
+            ctx = induced_by("".join(factors), Alphabet.parse("ab"))
             assert minor == parikh_matrix(ctx, w)
 
 
