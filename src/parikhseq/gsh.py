@@ -6,15 +6,13 @@ x and integer scaling; every expression is equivalent to a linear form, a
 finite integer combination of monomials, computed here by eliminating
 products.
 
-Product elimination enumerates merge schemes: ways to interleave the two
-factor sequences into an alternating run sequence in which some adjacent
-(run of one side, run of the other side) pairs are fused into junctions.  A
-junction contributes its reduction: the words carrying an overlap-connected,
-span-filling joint placement of both runs, each weighted by the number of
-such placements.  Junction-free schemes are exactly the ground shuffle
-terms.  The paper-style rule set that reduces only plain-run-then-primed-run
-junctions undercounts (e.g. (a.a) x a on the word aa); it is kept for
-comparison as `linearize_product_literal` in tests/oracles.py.
+Product elimination recurses on the first factors of both sides (see
+linearize_product).  A junction of a run of each side contributes its
+reduction: the words carrying an overlap-connected, span-filling joint
+placement of both runs, each weighted by the number of such placements.  The
+paper-style rule set that reduces only plain-run-then-primed-run junctions
+undercounts (e.g. (a.a) x a on the word aa); it is kept for comparison as
+`linearize_product_literal` in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -310,58 +308,44 @@ def red(p_run: Monomial, q_run: Monomial) -> LinearForm:
     return LinearForm(acc)
 
 
-def _schemes(np: int, nq: int) -> Iterator[tuple[tuple, ...]]:
-    """Segment sequences: P runs, Q runs, junctions; no two adjacent pure
-    segments on the same side (a junction may neighbor anything)."""
-
-    def rec(i: int, j: int, last: str) -> Iterator[tuple[tuple, ...]]:
-        if i == np and j == nq:
-            yield ()
-            return
-        if last != "P":
-            for r in range(1, np - i + 1):
-                for rest in rec(i + r, j, "P"):
-                    yield (("P", i, i + r),) + rest
-        if last != "Q":
-            for s in range(1, nq - j + 1):
-                for rest in rec(i, j + s, "Q"):
-                    yield (("Q", j, j + s),) + rest
-        for r in range(1, np - i + 1):
-            for s in range(1, nq - j + 1):
-                for rest in rec(i + r, j + s, "J"):
-                    yield (("J", i, i + r, j, j + s),) + rest
-
-    yield from rec(0, 0, "")
-
-
 @lru_cache(maxsize=4096)
 def linearize_product(p: Monomial, q: Monomial) -> LinearForm:
-    """Linear form equivalent to the product of two monomials."""
+    """Linear form equivalent to the product of two monomials.  A joint
+    placement of both starts with p's first factor alone, with q's first
+    factor alone, or with a junction of a prefix run of each side:
+
+        p x q = p_1.(p[1:] x q) + q_1.(p x q[1:])
+                + sum_{r,s >= 1} red(p[:r], q[:s]).(p[r:] x q[s:]),
+
+    and a product with the empty monomial is its other side.  The cache
+    shares suffix products across calls, so cost follows the (i, j) suffix
+    pairs and the size of their forms.  Raises ValueError, before recursing,
+    when the sides have more than MAX_PRODUCT_FACTORS factors together."""
     p = canonical_mono(p)
     q = canonical_mono(q)
-    if not p:
-        return LinearForm({q: 1})
-    if not q:
-        return LinearForm({p: 1})
+    if not p or not q:
+        return LinearForm({p + q: 1})
+    if len(p) + len(q) > MAX_PRODUCT_FACTORS:
+        raise ValueError(
+            f"product of {len(p)} and {len(q)} factors exceeds the cap of "
+            f"{MAX_PRODUCT_FACTORS} factors"
+        )
     acc: dict[Monomial, int] = {}
-    for scheme in _schemes(len(p), len(q)):
-        partial: dict[Monomial, int] = {(): 1}
-        for seg in scheme:
-            if seg[0] != "J":
-                run = (p if seg[0] == "P" else q)[seg[1] : seg[2]]
-                partial = {m + run: c for m, c in partial.items()}
-            else:
-                reduction = red(p[seg[1] : seg[2]], q[seg[3] : seg[4]])
-                if not reduction:
-                    partial = {}
-                    break
-                partial = {
-                    m + v: c * a
-                    for m, c in partial.items()
-                    for v, a in reduction.items()
-                }
-        for m, c in partial.items():
-            acc[m] = acc.get(m, 0) + c
+
+    def add(head: Monomial, coeff: int, rest: LinearForm) -> None:
+        for m, c in rest._terms.items():
+            key = head + m
+            acc[key] = acc.get(key, 0) + coeff * c
+
+    add(p[:1], 1, linearize_product(p[1:], q))
+    add(q[:1], 1, linearize_product(p, q[1:]))
+    for r in range(1, len(p) + 1):
+        for s in range(1, len(q) + 1):
+            reduction = red(p[:r], q[:s])
+            if reduction:
+                rest = linearize_product(p[r:], q[s:])
+                for v, a in reduction._terms.items():
+                    add(v, a, rest)
     return LinearForm(acc)
 
 
@@ -575,6 +559,10 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 # tree level, so parsing and the recursive walks over the parsed tree stay far
 # below the interpreter's recursion limit
 MAX_NESTING = 100
+# most factors of a product's two sides together; linearize_product recurses
+# one level per factor, at most two interpreter frames each, and a '*' chain
+# of MAX_NESTING + 1 letters fits
+MAX_PRODUCT_FACTORS = 256
 # most words equivalent_bounded enumerates (all words of length <= max_len);
 # times its bit length, most letters in them (2 * 10**7)
 MAX_BOUNDED_WORDS = 10**6

@@ -4,13 +4,15 @@ The counters enumerate occurrence tuples literally (feasible up to |w| ~ 12),
 independent of the tabulated counters in the package.  The small accessors
 after them (matrix cell diff, symbol index, pattern letter, induced Parikh
 context) serve only test code.  The generalized subword history helpers at
-the end are the ground shuffle, the interleaving test, the literal junction
-rules, which undercount and are kept only for comparison with
-`parikhseq.gsh.linearize_product`, and word-by-word bounded evaluation, the
-oracle for `parikhseq.gsh.first_difference`.
+the end are the ground shuffle, the interleaving test, the merge-scheme
+enumeration, the oracle for `parikhseq.gsh.linearize_product`, the literal
+junction rules, which undercount and are kept only for comparison with it,
+and word-by-word bounded evaluation, the oracle for
+`parikhseq.gsh.first_difference`.
 """
 
 from itertools import combinations
+from typing import Iterator
 
 from parikhseq.gsh import (
     LinearForm,
@@ -185,6 +187,64 @@ def is_interleaved(
         return True
 
     return bridged(ps, qs) and bridged(qs, ps)
+
+
+def _schemes(np: int, nq: int) -> Iterator[tuple[tuple, ...]]:
+    """Segment sequences: P runs, Q runs, junctions; no two adjacent pure
+    segments on the same side (a junction may neighbor anything)."""
+
+    def rec(i: int, j: int, last: str) -> Iterator[tuple[tuple, ...]]:
+        if i == np and j == nq:
+            yield ()
+            return
+        if last != "P":
+            for r in range(1, np - i + 1):
+                for rest in rec(i + r, j, "P"):
+                    yield (("P", i, i + r),) + rest
+        if last != "Q":
+            for s in range(1, nq - j + 1):
+                for rest in rec(i, j + s, "Q"):
+                    yield (("Q", j, j + s),) + rest
+        for r in range(1, np - i + 1):
+            for s in range(1, nq - j + 1):
+                for rest in rec(i + r, j + s, "J"):
+                    yield (("J", i, i + r, j, j + s),) + rest
+
+    yield from rec(0, 0, "")
+
+
+def linearize_product_schemes(p: Monomial, q: Monomial) -> LinearForm:
+    """Product of two monomials by enumerating merge schemes: ways to
+    interleave the two factor sequences into an alternating run sequence in
+    which some adjacent (run of one side, run of the other side) pairs are
+    fused into junctions, each contributing its reduction.  Exponential in
+    the number of factors; the oracle for linearize_product's recursion."""
+    p = canonical_mono(p)
+    q = canonical_mono(q)
+    if not p:
+        return LinearForm({q: 1})
+    if not q:
+        return LinearForm({p: 1})
+    acc: dict[Monomial, int] = {}
+    for scheme in _schemes(len(p), len(q)):
+        partial: dict[Monomial, int] = {(): 1}
+        for seg in scheme:
+            if seg[0] != "J":
+                run = (p if seg[0] == "P" else q)[seg[1] : seg[2]]
+                partial = {m + run: c for m, c in partial.items()}
+            else:
+                reduction = red(p[seg[1] : seg[2]], q[seg[3] : seg[4]])
+                if not reduction:
+                    partial = {}
+                    break
+                partial = {
+                    m + v: c * a
+                    for m, c in partial.items()
+                    for v, a in reduction.items()
+                }
+        for m, c in partial.items():
+            acc[m] = acc.get(m, 0) + c
+    return LinearForm(acc)
 
 
 def linearize_product_literal(p: Monomial, q: Monomial) -> LinearForm:

@@ -73,6 +73,17 @@ class TestCount:
         assert exc.value.code == 2
 
 
+def test_consecutive_calls_share_one_parser(capsys):
+    code, out, _ = run_cli(capsys, "count", "--subword", "ab", "aabb")
+    assert code == 0 and out == "4\n"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gsh", "linearize", "--maxlen", "3", "a"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --maxlen" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "gsh", "linearize", "a*a")
+    assert code == 0 and out == "a + 2(a.a)\n"
+
+
 class TestMatrix:
     def test_classic(self, capsys):
         code, out, _ = run_cli(
@@ -293,6 +304,23 @@ class TestGsh:
             text = "(" + text + ")" + "*a" * (gsh.MAX_NESTING - depth)
         code, out, err = run_cli(capsys, "gsh", "eval", text, "ab")
         assert code == 2 and out == "" and "nested deeper" in err
+
+    def test_longest_letter_chain_linearizes(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run_cli(
+            capsys, "gsh", "linearize", "*".join(["a"] * (gsh.MAX_NESTING + 1))
+        )
+        assert time.perf_counter() - start < 1.0
+        # the lowest term, a, has coefficient S(n, 1) 1! = 1
+        assert code == 0 and out.startswith("a + ")
+
+    def test_oversized_product_is_usage_error(self, capsys):
+        text = ".".join(["a"] * gsh.MAX_PRODUCT_FACTORS) + "*a"
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "gsh", "linearize", text)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert f"product of {gsh.MAX_PRODUCT_FACTORS} and 1 factors exceeds" in err
 
     def test_equiv_over_letter_cap_is_usage_error(self, capsys):
         start = time.perf_counter()

@@ -11,6 +11,7 @@ from oracles import (
     ground_shuffle,
     is_interleaved,
     linearize_product_literal,
+    linearize_product_schemes,
 )
 from parikhseq import gsh
 from parikhseq.counting import count_subword
@@ -300,6 +301,18 @@ class TestLinearizeProduct:
         assert linearize_product((), ("a", "b")) == LinearForm({("a", "b"): 1})
         assert linearize_product(("a",), ()) == LinearForm({("a",): 1})
 
+    def test_oversized_product_rejected_before_recursing(self):
+        cap = gsh.MAX_PRODUCT_FACTORS
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"cap of {cap} factors"):
+            linearize_product(("a",) * cap, ("a",))
+        with pytest.raises(ValueError, match=f"cap of {cap} factors"):
+            linearize_product(("a",), ("b",) * cap)
+        assert time.perf_counter() - start < 1.0
+        # an empty side never recurses, so it passes at any length
+        long = ("a",) * (cap + 1)
+        assert linearize_product(long, ()) == LinearForm({long: 1})
+
     def test_literal_rules_undercount(self):
         literal = linearize_product_literal(("a", "a"), ("a",))
         assert literal == LinearForm({("a", "a", "a"): 3, ("a", "a"): 1})
@@ -308,6 +321,19 @@ class TestLinearizeProduct:
         assert evaluate(product_expr, "aa") == 2
         assert literal.evaluate("aa") == 1
         assert linearize_product(("a", "a"), ("a",)).evaluate("aa") == 2
+
+
+def _product_sides():
+    # 0-3 factors of 1-3 letters over ab; the empty monomial is #e
+    factor = st.text(alphabet="ab", min_size=1, max_size=3)
+    return st.lists(factor, max_size=3).map(tuple)
+
+
+class TestLinearizeProductAgainstSchemes:
+    @settings(max_examples=300, deadline=None)
+    @given(_product_sides(), _product_sides())
+    def test_recursion_equals_scheme_enumeration(self, p, q):
+        assert linearize_product(p, q) == linearize_product_schemes(p, q)
 
 
 class TestLinearize:
@@ -342,22 +368,25 @@ class TestLinearize:
             for w in words_up_to(alphabet, bound):
                 assert linear.evaluate(w) == evaluate(e, w), (text, w)
 
-    def test_thirty_factor_chain_under_a_second(self):
-        # |w|_a ** 30 = sum_k S(30, k) k! C(|w|_a, k), and C(|w|_a, k) counts
+    @pytest.mark.parametrize("n", [30, gsh.MAX_NESTING + 1])
+    def test_letter_chain_under_a_second(self, n):
+        # |w|_a ** n = sum_k S(n, k) k! C(|w|_a, k), and C(|w|_a, k) counts
         # the k-fold a.a. ... .a; S are Stirling numbers of the second kind
-        stirling = [1] + [0] * 30
-        for _ in range(30):
-            stirling = [0] + [k * stirling[k] + stirling[k - 1] for k in range(1, 31)]
+        stirling = [1] + [0] * n
+        for _ in range(n):
+            stirling = [0] + [k * stirling[k] + stirling[k - 1] for k in range(1, n + 1)]
+        red.cache_clear()
+        linearize_product.cache_clear()
         start = time.perf_counter()
-        linear = linearize(parse_expr("*".join(["a"] * 30)))
+        linear = linearize(parse_expr("*".join(["a"] * n)))
         assert time.perf_counter() - start < 1.0
         factorial = 1
         expected = {}
-        for k in range(1, 31):
+        for k in range(1, n + 1):
             factorial *= k
             expected[("a",) * k] = factorial * stirling[k]
         assert linear == LinearForm(expected)
-        assert expected[("a", "a")] == 1073741822
+        assert expected[("a", "a")] == 2**n - 2
 
     def test_single_letter_monomials_match_subword_counts(self):
         rng = random.Random(53)
