@@ -85,7 +85,13 @@ class Sum(Expr):
     terms: tuple[Expr, ...]
 
     def __str__(self) -> str:
-        return "(" + " + ".join(str(t) for t in self.terms) + ")"
+        # parse_expr takes '-' before a sum's first term or in place of '+',
+        # not after '+', so a later negated term is written "- (x)"
+        first, *rest = self.terms
+        text = str(first)
+        for t in rest:
+            text += f" - ({t.inner})" if isinstance(t, Neg) else f" + {t}"
+        return f"({text})"
 
 
 @dataclass(frozen=True)
@@ -93,7 +99,9 @@ class Prod(Expr):
     parts: tuple[Expr, ...]
 
     def __str__(self) -> str:
-        return "(" + " * ".join(str(p) for p in self.parts) + ")"
+        # a negated part is parenthesized: "-(a) * b" parses as -(a * b)
+        parts = (f"({p})" if isinstance(p, Neg) else str(p) for p in self.parts)
+        return "(" + " * ".join(parts) + ")"
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ of the matrices, which the streaming fold exploits letter by letter.
 from __future__ import annotations
 
 from functools import cache
-from operator import add
 from typing import Iterable, Union
 
 from .counting import count_piece, factor_starts
@@ -149,8 +148,14 @@ def seq_matrix_letter(pattern: GapPattern, letter: str) -> IntMatrix:
     return seq_matrix_direct(pattern, letter).matrix
 
 
-# a SeqFold plan for one letter: F/S columns to update, (j, keep) steps, clears
-_Plan = tuple[tuple[int, ...], tuple[tuple[int, bool], ...], tuple[int, ...]]
+# a SeqFold plan for one letter: F/S columns to update, (j, keep, unit) steps, clears
+_Plan = tuple[tuple[int, ...], tuple[tuple[int, bool, int], ...], tuple[int, ...]]
+
+
+def _run_bits(n: int) -> int:
+    """Bits per pattern run in a SeqFold limb after n letters (see SeqFold);
+    at least 16, so words under 2**16 letters are never repacked."""
+    return max(n.bit_length(), 16)
 
 
 class SeqFold:
@@ -159,114 +164,132 @@ class SeqFold:
     A letter's generator is sparse: its E and S blocks are diagonal 0/1, its
     C block is a 0/1 diagonal plus a 0/1 superdiagonal, and its F block is
     zero.  Appending letter c therefore reduces to per-column updates on the
-    running blocks (stored column-major), using the product rules
+    running blocks, using the product rules
 
         F <- F + E * S_c      S <- S + C * S_c
         E <- E_c + E * C_c    C <- C * C_c
 
-    with the F and S updates reading the pre-push E and C.  Column j
-    (0-based) of E and C is kept when j+1 is a boundary (C_c[j][j] = 1),
-    gets column j-1, plus a unit in E's row j, added when flat letter j is
-    c, and is zero otherwise.  O(1) matrices are in flight regardless of word length.
+    with the F and S updates reading the pre-push E and C.  Column j of E
+    and C (1 <= j <= d) is kept when j is a boundary (C_c[j][j] = 1), gets
+    column j-1, plus a unit in E's row j, added when flat letter j is c, and
+    is zero otherwise.  O(1) matrices are in flight regardless of word length.
 
-    Columns are triangular: column j holds rows 0..j only, and result()
-    pads it to length d.  No stored column is ever mutated, so a column
-    that does not change is reused by reference, a column moved in from
-    j-1 costs one concatenation, and F and S may share E's and C's columns.
-    Each length j+1 has one shared zero column and one shared unit column
-    (a 1 in row j).  Clearing stores the zero column and moving it keeps it
-    zero; moving it into E gives the unit column.  Adding the zero column
-    is skipped by an identity test, and adding the unit column to F is one
-    increment.  On sparse patterns most columns are zero or unit.
+    Each column is packed into one Python int of limbs W bits wide: entry
+    (i, j) sits in bits [(i-1)*W, i*W) of column j.  E and C also hold a
+    column 0 that is always zero, which column 1 takes like any other
+    column.  A push is then whole-int arithmetic, one operation per column:
+    an F or S column adds the E or C column, a stepped E or C column adds
+    column j-1 (E also the unit bit of row j), and a cleared column is set
+    to 0.  result() unpacks the limbs.
 
-    The first push of each letter validates it and caches its plan: the
-    columns j whose F and S change, the (j, keep) steps for the E and C
-    columns that take column j-1 (added to a kept column, else moved in),
-    and the columns to clear.  Steps run highest j first and clears run
-    last, so every step reads the pre-push column j-1.  Kept columns with
-    nothing to add are left out.
+    No limb carries into the next.  Let f = len(pattern.factors) and
+    n >= 1 the letters pushed.  An entry counts the occurrences of a
+    fragment of at most f runs, possibly anchored.  An occurrence is fixed
+    by the start positions of its r runs and anchoring only drops
+    occurrences, so the entry is at most C(n, r) <= n**r <= n**f (the empty
+    fragment counts 1 = n**0).  With b = n.bit_length(), n**f < 2**(f*b).
+    Every sum a push forms is a sum of nonnegative terms of an entry after
+    that push, so it obeys the same bound.  Hence W = f * max(b, 16) + 1
+    suffices; the top bit of each limb is a guard bit that stays clear, and
+    result() and each repack raise RuntimeError if one is set.  W depends
+    on n only through max(b, 16), so it grows only when n reaches 2**16,
+    2**17, ...; that push first unpacks every column and repacks it wider.
+
+    The first push of each letter at a width validates the letter and
+    caches its plan: the columns j whose F and S change, the (j, keep,
+    unit) steps for the E and C columns that take column j-1 (added to a
+    kept column, else moved in), and the columns to clear.  Steps run
+    highest j first and clears run last, so every step reads the pre-push
+    column j-1.  Kept columns with nothing to add are left out.
     """
 
     def __init__(self, pattern: GapPattern):
         d = block_dim(pattern)
         self.pattern = pattern
-        self._zero = zero = [[0] * (j + 1) for j in range(d)]
-        self._unit = unit = [[0] * j + [1] for j in range(d)]
-        # column-major, triangular blocks: block[j][i] is the (i, j) entry
-        self._e = list(zero)
-        self._f = list(zero)
-        self._s = list(zero)
-        self._c = list(unit)
+        self._d = d
+        self._runs = len(pattern.factors)
+        self._n = 0  # letters pushed
+        self._set_width(0)
+        # packed columns 0..d of E, F, C, S in BLOCKS order
+        c = [0] + [1 << (j - 1) * self._w for j in range(1, d + 1)]
+        self._cols = ([0] * (d + 1), [0] * (d + 1), c, [0] * (d + 1))
+
+    def _set_width(self, n: int) -> None:
+        """Limbs wide enough for every count until the letter count reaches
+        the next power of two past n."""
+        bits = _run_bits(n)
+        self._w = self._runs * bits + 1
+        self._widen_at = 1 << bits
         self._plans: dict[str, _Plan] = {}
 
     def _plan(self, letter: str) -> _Plan:
         if len(letter) != 1 or letter not in SYMBOL_CHARS:
             raise PatternError(f"invalid letter {letter!r}")
-        flat, b = self.pattern.flat, self.pattern.boundaries
-        d = len(self._zero)
-        tails = tuple(j for j in range(d) if flat[j + 1] == letter)
-        steps = tuple((j, j + 1 in b) for j in reversed(range(d)) if flat[j] == letter)
-        clears = tuple(j for j in range(d) if flat[j] != letter and j + 1 not in b)
+        flat, b, d, w = self.pattern.flat, self.pattern.boundaries, self._d, self._w
+        tails = tuple(j for j in range(1, d + 1) if flat[j] == letter)
+        steps = tuple(
+            (j, j in b, 1 << (j - 1) * w) for j in range(d, 0, -1) if flat[j - 1] == letter
+        )
+        clears = tuple(j for j in range(1, d + 1) if flat[j - 1] != letter and j not in b)
         plan = self._plans[letter] = (tails, steps, clears)
         return plan
 
+    def _unpacked(self) -> list[list[list[int]]]:
+        """E, F, C, S as column-major d x d lists; raises RuntimeError if a
+        limb's guard bit is set."""
+        d, w = self._d, self._w
+        guard = sum(1 << i * w + w - 1 for i in range(d))
+        if any(col & guard for cols in self._cols for col in cols):
+            raise RuntimeError(
+                f"SeqFold: an entry overflowed its {w - 1}-bit limb after {self._n} letters"
+            )
+        mask = (1 << w - 1) - 1
+        shifts = [i * w for i in range(d)]
+        zero = [0] * d
+        # column j has rows 1..j
+        return [
+            [[col >> k & mask for k in shifts[:j]] + zero[j:] if col else zero
+             for j, col in enumerate(cols[1:], 1)]
+            for cols in self._cols
+        ]
+
+    def _widen(self, n: int) -> None:
+        blocks = self._unpacked()
+        self._set_width(n)
+        shifts = [i * self._w for i in range(self._d)]
+        for cols, block in zip(self._cols, blocks):
+            cols[1:] = [sum(v << k for v, k in zip(col, shifts)) for col in block]
+
     def push(self, letter: str) -> None:
         plan = self._plans.get(letter)
-        tails, steps, clears = plan if plan is not None else self._plan(letter)
-        e, f, s, c, zero, unit = self._e, self._f, self._s, self._c, self._zero, self._unit
+        if plan is None:
+            plan = self._plan(letter)  # validates before anything changes
+        n = self._n + 1
+        if n == self._widen_at:
+            self._widen(n)
+            plan = self._plan(letter)
+        self._n = n
+        tails, steps, clears = plan
+        e, f, c, s = self._cols
         for j in tails:
-            z = zero[j]
-            col = e[j]
-            if col is not z:
-                acc = f[j]
-                if acc is z:
-                    f[j] = col
-                elif col is unit[j]:
-                    acc = acc[:]
-                    acc[j] += 1
-                    f[j] = acc
-                else:
-                    f[j] = list(map(add, acc, col))
-            col = c[j]
-            if col is not z:
-                s[j] = col if s[j] is z else list(map(add, s[j], col))
-        for j, keep in steps:
-            if j == 0:  # no column -1: E gets its unit, C is kept or cleared
-                if keep:
-                    e[0] = [e[0][0] + 1]
-                else:
-                    e[0], c[0] = unit[0], zero[0]
-            elif keep:
-                col = e[j]
-                new = list(map(add, col, e[j - 1]))
-                new.append(col[j] + 1)
-                e[j] = new
-                prev = c[j - 1]
-                if prev is not zero[j - 1]:
-                    col = c[j]
-                    new = list(map(add, col, prev))
-                    new.append(col[j])
-                    c[j] = new
+            f[j] += e[j]
+            s[j] += c[j]
+        for j, keep, unit in steps:
+            if keep:
+                e[j] += e[j - 1] + unit
+                c[j] += c[j - 1]
             else:
-                prev = e[j - 1]
-                e[j] = unit[j] if prev is zero[j - 1] else prev + [1]
-                prev = c[j - 1]
-                c[j] = zero[j] if prev is zero[j - 1] else prev + [0]
+                e[j] = e[j - 1] + unit
+                c[j] = c[j - 1]
         for j in clears:
-            e[j] = c[j] = zero[j]
+            e[j] = c[j] = 0
 
     def extend(self, letters: Iterable[str]) -> None:
         for letter in letters:
             self.push(letter)
 
     def result(self) -> SeqMatrix:
-        d = len(self._zero)
-        pad = [[0] * (d - 1 - j) for j in range(d)]
-        blocks = {"E": self._e, "F": self._f, "C": self._c, "S": self._s}
-        return _assemble(
-            self.pattern,
-            {name: [col + pad[j] for j, col in enumerate(cols)] for name, cols in blocks.items()},
-        )
+        return _assemble(self.pattern, dict(zip(BLOCKS, self._unpacked())))
 
 
 def seq_matrix(pattern: GapPattern, letters: Union[str, Iterable[str]]) -> SeqMatrix:

@@ -2,7 +2,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -39,7 +39,31 @@ from parikhseq.words import Alphabet
 AB = Alphabet.parse("ab")
 
 
+def _parsed_exprs():
+    """Trees parse_expr returns: nonnegative scales, binary products and sums
+    of two or more terms, any of which may be negated."""
+    monos = st.lists(st.text(alphabet="ab", min_size=1, max_size=2), max_size=3)
+    return st.recursive(
+        monos.map(lambda fs: Mono(tuple(fs))),
+        lambda inner: st.one_of(
+            inner.map(Neg),
+            st.builds(Scale, st.integers(0, 12), inner),
+            st.lists(st.one_of(inner, inner.map(Neg)), min_size=2, max_size=4).map(
+                lambda ts: Sum(tuple(ts))
+            ),
+            st.tuples(inner, inner).map(Prod),
+        ),
+        max_leaves=8,
+    )
+
+
 class TestParse:
+    @settings(max_examples=300, deadline=None)
+    @given(_parsed_exprs())
+    @example(parse_expr("a-(-b)*2(a.b)+#e"))
+    def test_str_parses_back(self, e):
+        assert parse_expr(str(e)) == e
+
     def test_monomial(self):
         assert parse_expr("ab.c") == Mono(("ab", "c"))
 
@@ -576,8 +600,13 @@ class TestLinearFormBasics:
         form = LinearForm({("a", "a"): 2, ("a",): 1})
         assert linearize(parse_expr(form.render())) == form
 
-    def test_json_round_trip(self):
-        form = LinearForm({("a", "a"): 2, ("b",): -1, (): 3})
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.dictionaries(_monos("abc").map(lambda m: m.factors), st.integers(), max_size=5)
+        .map(LinearForm)
+    )
+    @example(LinearForm({("a", "a"): 2, ("b",): -1, (): 3}))
+    def test_json_round_trip(self, form):
         assert LinearForm.from_json_list(form.to_json_list()) == form
 
     def test_arithmetic(self):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import enum_piece, induced_by
+from parikhseq import seqmat
 from parikhseq.counting import count_gapped
 from parikhseq.intmat import IntMatrix
 from parikhseq.minors import minor_index_set
@@ -288,6 +289,54 @@ class TestFoldProperties:
         assert fold.result() == before
         fold.extend("cba")
         assert fold.result() == seq_matrix_direct(AB_C, "abcabcba")
+
+
+class TestPackedColumns:
+    """SeqFold packs each column into one int whose limbs widen when the
+    letter count reaches 2**16, 2**17, ..."""
+
+    @pytest.mark.parametrize("pattern", ["abababababababababab.ab", "ab.ba.ab.ba.ab"])
+    def test_fold_across_the_width_step(self, pattern):
+        q = GapPattern.parse(pattern)
+        rng = random.Random(37)
+        w = "".join(rng.choice("ab") for _ in range(2**16 + 5))
+        fold = SeqFold(q)
+        fold.extend(w[: 2**16 - 1])
+        early = fold.result()
+        assert early == seq_matrix_direct(q, w[: 2**16 - 1])
+        fold.push(w[2**16 - 1])
+        assert fold.result() == seq_matrix_direct(q, w[: 2**16])
+        fold.extend(w[2**16 :])
+        assert fold.result() == seq_matrix_direct(q, w)
+        # a result taken before the columns were repacked stays as it was
+        assert early == seq_matrix_direct(q, w[: 2**16 - 1])
+
+    def test_single_run_entry_past_sixteen_bits(self):
+        # F counts the 2**16 + 3 factors ab: without widening, its 17-bit
+        # limb would reach the guard bit
+        q = GapPattern.parse("ab")
+        w = "ab" * (2**16 + 3)
+        result = seq_matrix(q, w)
+        assert result.block("F").entry(1, 1) == 2**16 + 3
+        assert result == seq_matrix_direct(q, w)
+
+    def test_thirty_one_runs(self):
+        q = GapPattern(tuple("ab" * 15 + "a"))
+        rng = random.Random(38)
+        w = "".join(rng.choice("ab") for _ in range(3000))
+        assert seq_matrix(q, w) == seq_matrix_direct(q, w)
+
+    def test_guard_bit_raises_on_too_narrow_limbs(self, monkeypatch):
+        # one-run limbs of 2 + 1 bits hold entries up to 3; F reaches 4
+        # after four ab
+        monkeypatch.setattr(seqmat, "_run_bits", lambda n: 2)
+        q = GapPattern.parse("ab")
+        fold = SeqFold(q)
+        fold.extend("ababab")
+        assert fold.result() == seq_matrix_direct(q, "ababab")
+        fold.extend("ab")
+        with pytest.raises(RuntimeError, match="overflowed"):
+            fold.result()
 
 
 class TestHomomorphism:

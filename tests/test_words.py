@@ -1,7 +1,16 @@
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from oracles import pattern_letter, symbol_index
-from parikhseq.words import Alphabet, GapPattern, PatternError, Piece, parse_word
+from parikhseq.words import (
+    SYMBOL_CHARS,
+    Alphabet,
+    GapPattern,
+    PatternError,
+    Piece,
+    parse_word,
+)
 
 
 class TestAlphabet:
@@ -68,10 +77,16 @@ class TestGapPattern:
         with pytest.raises(PatternError):
             GapPattern.parse(text)
 
-    def test_render_round_trip(self):
-        for text in ["a", "ab.c", "a.aba.a", "abc", "b.b.b"]:
-            assert GapPattern.parse(text).render() == text
-            assert GapPattern.parse(GapPattern.parse(text).render()) == GapPattern.parse(text)
+    @given(
+        st.lists(
+            st.text(alphabet=sorted(SYMBOL_CHARS), min_size=1, max_size=3), min_size=1, max_size=5
+        )
+    )
+    @example(["a", "aba", "a"])
+    def test_render_round_trip(self, factors):
+        q = GapPattern(tuple(factors))
+        assert q.render() == ".".join(factors)
+        assert GapPattern.parse(q.render()) == q
 
     def test_letter_is_one_based(self):
         q = GapPattern.parse("ab.c")
