@@ -3,8 +3,9 @@
 Subcommands: count, matrix, minor, witness, gsh (eval|linearize|equiv),
 verify.  Words come from the positional argument, --file, or standard input
 ('-' or no argument); whitespace in piped input is ignored.  The matrix
-subcommand consumes piped words letter by letter without buffering, so very
-long words stream through the fold.
+subcommand reads piped words in chunks of at most 64 KiB and pushes them
+through the fold letter by letter, so very long words stream in bounded
+memory.
 
 Exit codes: 0 success, 1 property violation or internal disagreement,
 2 usage or parse errors.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Iterable, Iterator
 
@@ -38,21 +40,27 @@ _SEQ_CHECK_LIMIT = 200_000
 _PARIKH_CHECK_LIMIT = 2_000
 
 
-def _stdin_letters(stream) -> Iterator[str]:
+# any character that is not a word symbol
+_INVALID_SYMBOL = re.compile(f"[^{re.escape(''.join(sorted(SYMBOL_CHARS)))}]")
+
+
+def _stdin_chunks(stream) -> Iterator[str]:
+    """The piped word in chunks of at most 64 KiB, whitespace dropped and
+    every symbol checked before the chunk is handed out."""
     while True:
         chunk = stream.read(65536)
         if not chunk:
             return
-        for ch in chunk:
-            if ch.isspace():
-                continue
-            if ch not in SYMBOL_CHARS:
-                raise PatternError(f"invalid symbol {ch!r} in piped word")
-            yield ch
+        chunk = "".join(chunk.split())
+        bad = _INVALID_SYMBOL.search(chunk)
+        if bad:
+            raise PatternError(f"invalid symbol {bad.group()!r} in piped word")
+        yield chunk
 
 
 def _word_input(args) -> tuple[str | None, Iterable[str]]:
-    """Resolve the word source: (buffered word or None, letter iterable)."""
+    """Resolve the word source: (buffered word or None, its chunks); a
+    buffered word is one chunk."""
     word = getattr(args, "word", None)
     path = getattr(args, "file", None)
     if word is not None and path is not None:
@@ -61,16 +69,16 @@ def _word_input(args) -> tuple[str | None, Iterable[str]]:
         with open(path, "r", encoding="ascii") as fh:
             text = "".join(fh.read().split())
         word = parse_word(text)
-        return word, word
+        return word, (word,)
     if word is None or word == "-":
-        return None, _stdin_letters(sys.stdin)
-    return parse_word(word), word
+        return None, _stdin_chunks(sys.stdin)
+    return parse_word(word), (word,)
 
 
 def _buffered_word(args) -> str:
     """The whole word in memory, whatever its source."""
-    word, letters = _word_input(args)
-    return "".join(letters) if word is None else word
+    word, chunks = _word_input(args)
+    return "".join(chunks) if word is None else word
 
 
 def _at_least(value: int, minimum: int, flag: str) -> None:
@@ -100,7 +108,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    word, letters = _word_input(args)
+    word, chunks = _word_input(args)
     head: dict = {}  # payload fields before "length"
     tail: dict = {}  # and after it
     if args.kind in ("classic", "extended"):
@@ -131,10 +139,12 @@ def cmd_matrix(args) -> int:
         head["pattern"] = mapping.render()
         # SeqFold rejects flat length < 2 before any input is consumed
         fold, direct, limit = SeqFold(mapping), seq_matrix_direct, _SEQ_CHECK_LIMIT
+    push = fold.push
     n = 0
-    for ch in letters:
-        fold.push(ch)
-        n += 1
+    for chunk in chunks:
+        for ch in chunk:
+            push(ch)
+        n += len(chunk)
     result = fold.result()
     if word is not None and len(word) <= limit and direct(mapping, word) != result:
         print("internal error: fold disagrees with direct construction", file=sys.stderr)

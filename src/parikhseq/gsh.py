@@ -110,7 +110,10 @@ class Scale(Expr):
     inner: Expr
 
     def __str__(self) -> str:
-        return f"{self.coeff}({self.inner})"
+        # parse_expr takes '-' only before a sum's first term or in place of
+        # '+', so a negative coefficient is written as "(-3(x))"
+        text = f"{self.coeff}({self.inner})"
+        return f"({text})" if self.coeff < 0 else text
 
 
 def mono(*factors: str) -> Mono:

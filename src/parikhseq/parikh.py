@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .counting import count_subword
 from .intmat import IntMatrix
+from .packed import PackedFold
 from .words import Alphabet, PatternError, parse_word
 
 
@@ -52,46 +53,53 @@ def letter_matrix(ctx: ParikhContext, letter: str) -> IntMatrix:
     return IntMatrix(rows)
 
 
-class ParikhFold:
+class ParikhFold(PackedFold):
     """Streaming left-to-right fold of letter matrices.
 
     Appending a letter multiplies on the right by a sparse generator, which
-    reduces to column updates col[q+1] += col[q]; columns are processed in
-    descending order so each update reads pre-push values.
+    reduces to column updates col[q+1] += col[q] for every inducing-word
+    position q holding the letter; they run in descending q so each update
+    reads pre-push values.
+
+    Each column is packed into one Python int of k+1 limbs, k =
+    len(ctx.inducing): row i of the column sits in limb i (see PackedFold),
+    so an update is one int addition.  Entry (i, j+1) above the diagonal
+    counts a scattered subword of length l = j - i + 1 <= k, and an
+    occurrence is fixed by the positions of its l letters, so after n >= 1
+    letters the entry is at most C(n, l) <= n**k; the diagonal holds
+    1 = n**0.  Each update sums two entries of the same column into an
+    entry after the push, so PackedFold's width rule applies with
+    exponent k: W = k * max(n.bit_length(), 16) + 1.
     """
 
     def __init__(self, ctx: ParikhContext):
         self.ctx = ctx
-        n = ctx.dim
-        self._cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-        self._hits: dict[str, tuple[int, ...]] = {}
+        super().__init__(len(ctx.inducing), ctx.dim)
+        self._cols = [1 << q * self._w for q in range(ctx.dim)]  # the identity
 
-    def _positions(self, letter: str) -> tuple[int, ...]:
-        try:
-            return self._hits[letter]
-        except KeyError:
-            if letter not in self.ctx.alphabet:
-                raise PatternError(
-                    f"symbol {letter!r} not in alphabet {self.ctx.alphabet}"
-                ) from None
-            pos = tuple(
-                q for q in range(len(self.ctx.inducing) - 1, -1, -1)
-                if self.ctx.inducing[q] == letter
-            )
-            self._hits[letter] = pos
-            return pos
+    def _plan(self, letter: str) -> tuple[tuple[int, int], ...]:
+        if letter not in self.ctx.alphabet:
+            raise PatternError(f"symbol {letter!r} not in alphabet {self.ctx.alphabet}")
+        inducing = self.ctx.inducing
+        plan = self._plans[letter] = tuple(
+            (q + 1, q) for q in range(len(inducing) - 1, -1, -1) if inducing[q] == letter
+        )
+        return plan
 
     def push(self, letter: str) -> None:
+        plan = self._plans.get(letter)
+        if plan is None:
+            plan = self._plan(letter)  # validates before anything changes
+        n = self._n + 1
+        if n == self._widen_at:
+            plan = self._widen(n, letter)
+        self._n = n
         cols = self._cols
-        for q in self._positions(letter):
-            cols[q + 1] = [a + b for a, b in zip(cols[q + 1], cols[q])]
-
-    def extend(self, letters) -> None:
-        for letter in letters:
-            self.push(letter)
+        for dst, src in plan:
+            cols[dst] += cols[src]
 
     def result(self) -> IntMatrix:
-        return IntMatrix(list(zip(*self._cols)))
+        return IntMatrix(list(zip(*self._unpacked())))
 
 
 def parikh_matrix(ctx: ParikhContext, w: str) -> IntMatrix:

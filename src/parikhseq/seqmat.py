@@ -29,6 +29,7 @@ from typing import Iterable, Union
 
 from .counting import count_piece, factor_starts
 from .intmat import IntMatrix
+from .packed import PackedFold
 from .words import GapPattern, PatternError, Piece, SYMBOL_CHARS
 
 # (block row, block column) of each named block in [[I,E,F],[0,C,S],[0,0,I]]
@@ -148,17 +149,12 @@ def seq_matrix_letter(pattern: GapPattern, letter: str) -> IntMatrix:
     return seq_matrix_direct(pattern, letter).matrix
 
 
-# a SeqFold plan for one letter: F/S columns to update, (j, keep, unit) steps, clears
-_Plan = tuple[tuple[int, ...], tuple[tuple[int, bool, int], ...], tuple[int, ...]]
+# a SeqFold plan for one letter: (right, middle) column pairs to add,
+# (j, keep, unit) steps, columns to clear
+_Plan = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, bool, int], ...], tuple[int, ...]]
 
 
-def _run_bits(n: int) -> int:
-    """Bits per pattern run in a SeqFold limb after n letters (see SeqFold);
-    at least 16, so words under 2**16 letters are never repacked."""
-    return max(n.bit_length(), 16)
-
-
-class SeqFold:
+class SeqFold(PackedFold):
     """Streaming left-to-right fold of letter matrices for one pattern.
 
     A letter's generator is sparse: its E and S blocks are diagonal 0/1, its
@@ -174,30 +170,29 @@ class SeqFold:
     column j-1, plus a unit in E's row j, added when flat letter j is c, and
     is zero otherwise.  O(1) matrices are in flight regardless of word length.
 
-    Each column is packed into one Python int of limbs W bits wide: entry
-    (i, j) sits in bits [(i-1)*W, i*W) of column j.  E and C also hold a
-    column 0 that is always zero, which column 1 takes like any other
-    column.  A push is then whole-int arithmetic, one operation per column:
-    an F or S column adds the E or C column, a stepped E or C column adds
-    column j-1 (E also the unit bit of row j), and a cleared column is set
-    to 0.  result() unpacks the limbs.
+    Each full matrix column of the middle and right block columns is packed
+    into one Python int of 2d limbs (see PackedFold): middle column j holds
+    E rows 1..d in limbs 0..d-1 and C rows 1..d in limbs d..2d-1, right
+    column j holds F over S the same way.  The list of columns is middle
+    columns 0..d, then right columns 1..d; middle column 0 is always zero,
+    and column 1 takes it like any other column.  Because F and S sit
+    exactly as E and C do, and E and C change together, a push is one int
+    operation per column: a right column adds its middle column, a stepped
+    middle column adds column j-1 (and the unit bit of E's row j), and a
+    cleared column is set to 0.  result() unpacks the limbs.
 
     No limb carries into the next.  Let f = len(pattern.factors) and
     n >= 1 the letters pushed.  An entry counts the occurrences of a
     fragment of at most f runs, possibly anchored.  An occurrence is fixed
     by the start positions of its r runs and anchoring only drops
     occurrences, so the entry is at most C(n, r) <= n**r <= n**f (the empty
-    fragment counts 1 = n**0).  With b = n.bit_length(), n**f < 2**(f*b).
-    Every sum a push forms is a sum of nonnegative terms of an entry after
-    that push, so it obeys the same bound.  Hence W = f * max(b, 16) + 1
-    suffices; the top bit of each limb is a guard bit that stays clear, and
-    result() and each repack raise RuntimeError if one is set.  W depends
-    on n only through max(b, 16), so it grows only when n reaches 2**16,
-    2**17, ...; that push first unpacks every column and repacks it wider.
+    fragment counts 1 = n**0).  Every sum a push forms is a sum of
+    nonnegative terms of an entry after that push, so PackedFold's width
+    rule applies with exponent f: W = f * max(n.bit_length(), 16) + 1.
 
     The first push of each letter at a width validates the letter and
     caches its plan: the columns j whose F and S change, the (j, keep,
-    unit) steps for the E and C columns that take column j-1 (added to a
+    unit) steps for the middle columns that take column j-1 (added to a
     kept column, else moved in), and the columns to clear.  Steps run
     highest j first and clears run last, so every step reads the pre-push
     column j-1.  Kept columns with nothing to add are left out.
@@ -207,26 +202,16 @@ class SeqFold:
         d = block_dim(pattern)
         self.pattern = pattern
         self._d = d
-        self._runs = len(pattern.factors)
-        self._n = 0  # letters pushed
-        self._set_width(0)
-        # packed columns 0..d of E, F, C, S in BLOCKS order
-        c = [0] + [1 << (j - 1) * self._w for j in range(1, d + 1)]
-        self._cols = ([0] * (d + 1), [0] * (d + 1), c, [0] * (d + 1))
-
-    def _set_width(self, n: int) -> None:
-        """Limbs wide enough for every count until the letter count reaches
-        the next power of two past n."""
-        bits = _run_bits(n)
-        self._w = self._runs * bits + 1
-        self._widen_at = 1 << bits
-        self._plans: dict[str, _Plan] = {}
+        super().__init__(len(pattern.factors), 2 * d)
+        # the empty word: C is the identity, everything else zero
+        w = self._w
+        self._cols = [0] + [1 << (d + j - 1) * w for j in range(1, d + 1)] + [0] * d
 
     def _plan(self, letter: str) -> _Plan:
         if len(letter) != 1 or letter not in SYMBOL_CHARS:
             raise PatternError(f"invalid letter {letter!r}")
         flat, b, d, w = self.pattern.flat, self.pattern.boundaries, self._d, self._w
-        tails = tuple(j for j in range(1, d + 1) if flat[j] == letter)
+        tails = tuple((d + j, j) for j in range(1, d + 1) if flat[j] == letter)
         steps = tuple(
             (j, j in b, 1 << (j - 1) * w) for j in range(d, 0, -1) if flat[j - 1] == letter
         )
@@ -234,62 +219,39 @@ class SeqFold:
         plan = self._plans[letter] = (tails, steps, clears)
         return plan
 
-    def _unpacked(self) -> list[list[list[int]]]:
-        """E, F, C, S as column-major d x d lists; raises RuntimeError if a
-        limb's guard bit is set."""
-        d, w = self._d, self._w
-        guard = sum(1 << i * w + w - 1 for i in range(d))
-        if any(col & guard for cols in self._cols for col in cols):
-            raise RuntimeError(
-                f"SeqFold: an entry overflowed its {w - 1}-bit limb after {self._n} letters"
-            )
-        mask = (1 << w - 1) - 1
-        shifts = [i * w for i in range(d)]
-        zero = [0] * d
-        # column j has rows 1..j
-        return [
-            [[col >> k & mask for k in shifts[:j]] + zero[j:] if col else zero
-             for j, col in enumerate(cols[1:], 1)]
-            for cols in self._cols
-        ]
-
-    def _widen(self, n: int) -> None:
-        blocks = self._unpacked()
-        self._set_width(n)
-        shifts = [i * self._w for i in range(self._d)]
-        for cols, block in zip(self._cols, blocks):
-            cols[1:] = [sum(v << k for v, k in zip(col, shifts)) for col in block]
-
     def push(self, letter: str) -> None:
         plan = self._plans.get(letter)
         if plan is None:
             plan = self._plan(letter)  # validates before anything changes
         n = self._n + 1
         if n == self._widen_at:
-            self._widen(n)
-            plan = self._plan(letter)
+            plan = self._widen(n, letter)
         self._n = n
         tails, steps, clears = plan
-        e, f, c, s = self._cols
-        for j in tails:
-            f[j] += e[j]
-            s[j] += c[j]
+        cols = self._cols
+        for dst, src in tails:
+            cols[dst] += cols[src]
         for j, keep, unit in steps:
             if keep:
-                e[j] += e[j - 1] + unit
-                c[j] += c[j - 1]
+                cols[j] += cols[j - 1] + unit
             else:
-                e[j] = e[j - 1] + unit
-                c[j] = c[j - 1]
+                cols[j] = cols[j - 1] + unit
         for j in clears:
-            e[j] = c[j] = 0
-
-    def extend(self, letters: Iterable[str]) -> None:
-        for letter in letters:
-            self.push(letter)
+            cols[j] = 0
 
     def result(self) -> SeqMatrix:
-        return _assemble(self.pattern, dict(zip(BLOCKS, self._unpacked())))
+        d = self._d
+        cols = self._unpacked()
+        mid, right = cols[1 : d + 1], cols[d + 1 :]
+        return _assemble(
+            self.pattern,
+            {
+                "E": [col[:d] for col in mid],
+                "F": [col[:d] for col in right],
+                "C": [col[d:] for col in mid],
+                "S": [col[d:] for col in right],
+            },
+        )
 
 
 def seq_matrix(pattern: GapPattern, letters: Union[str, Iterable[str]]) -> SeqMatrix:

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,6 +13,13 @@ from parikhseq import cli, gsh
 from parikhseq.intmat import IntMatrix
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+# matrix kinds that stream piped words through a fold
+_PIPED_KINDS = [
+    ("matrix", "sequence", "--pattern", "ab.ba"),
+    ("matrix", "classic", "--alphabet", "ab"),
+]
 
 
 def run_cli(capsys, *argv):
@@ -159,6 +167,35 @@ class TestMatrix:
         data = json.loads(out)
         assert data["length"] == 11
         assert data["blocks"]["F"] == [["2", "5"], ["0", "9"]]
+
+    @pytest.mark.parametrize("kind", _PIPED_KINDS)
+    def test_whitespace_across_the_chunk_boundary(self, capsys, monkeypatch, kind):
+        rng = random.Random(9)
+        word = "".join(rng.choice("ab") for _ in range(70_000))
+        # the first 64 KiB chunk ends in whitespace and the second starts
+        # with it
+        text = word[:65_530] + "\n" + word[65_530:65_534] + " \t\n" + word[65_534:] + "\n"
+        assert text[65_535:65_538] == " \t\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        piped = run_cli(capsys, *kind, "--format", "json")
+        buffered = run_cli(capsys, *kind, "--format", "json", word)
+        assert piped == buffered
+        assert piped[0] == 0 and json.loads(piped[1])["length"] == 70_000
+
+    @pytest.mark.parametrize("kind", _PIPED_KINDS)
+    def test_invalid_symbol_in_second_chunk(self, capsys, monkeypatch, kind):
+        monkeypatch.setattr("sys.stdin", io.StringIO("ab" * 35_000 + "!ab\n"))
+        code, out, err = run_cli(capsys, *kind)
+        assert code == 2
+        assert "invalid symbol '!' in piped word" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("kind", _PIPED_KINDS)
+    def test_empty_stdin_is_the_empty_word(self, capsys, monkeypatch, kind):
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        piped = run_cli(capsys, *kind, "--format", "json")
+        assert piped == run_cli(capsys, *kind, "--format", "json", "")
+        assert piped[0] == 0 and json.loads(piped[1])["length"] == 0
 
     def test_short_pattern_rejected(self, capsys):
         code, _, err = run_cli(

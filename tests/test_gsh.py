@@ -57,12 +57,43 @@ def _parsed_exprs():
     )
 
 
+def _negatively_scaled_exprs():
+    """Trees built in code rather than parsed, with a negative Scale as a
+    whole expression, a later term of a sum or a part of a product.  Below
+    that top node there are no products, which keeps linearize cheap."""
+    monos = st.lists(st.text(alphabet="ab", min_size=1, max_size=2), max_size=3)
+    trees = st.recursive(
+        monos.map(lambda fs: Mono(tuple(fs))),
+        lambda inner: st.one_of(
+            inner.map(Neg),
+            st.builds(Scale, st.integers(-12, 12), inner),
+            st.lists(inner, min_size=2, max_size=3).map(lambda ts: Sum(tuple(ts))),
+        ),
+        max_leaves=4,
+    )
+    scaled = st.builds(Scale, st.integers(-12, -1), trees)
+    return st.one_of(
+        scaled,
+        st.tuples(trees, scaled).map(Sum),
+        st.tuples(scaled, trees).map(Prod),
+        st.tuples(trees, scaled).map(Prod),
+    )
+
+
 class TestParse:
     @settings(max_examples=300, deadline=None)
     @given(_parsed_exprs())
     @example(parse_expr("a-(-b)*2(a.b)+#e"))
     def test_str_parses_back(self, e):
         assert parse_expr(str(e)) == e
+
+    @settings(max_examples=200, deadline=None)
+    @given(_negatively_scaled_exprs())
+    @example(Sum((mono("a"), Scale(-3, mono("b")))))
+    def test_negative_scale_str_parses_back(self, e):
+        # parse_expr reads "(-3(x))" as Neg(Scale(3, x)): another tree with
+        # the same linear form
+        assert linearize(parse_expr(str(e))) == linearize(e)
 
     def test_monomial(self):
         assert parse_expr("ab.c") == Mono(("ab", "c"))

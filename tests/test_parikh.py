@@ -2,12 +2,17 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import enum_subword, induced_by, is_classic
+from parikhseq import packed
+from parikhseq.counting import count_subword
 from parikhseq.intmat import IntMatrix
 from parikhseq.minors import check_minor_nonneg
 from parikhseq.parikh import (
     ParikhContext,
+    ParikhFold,
     letter_matrix,
     parikh_matrix,
     parikh_matrix_direct,
@@ -134,3 +139,53 @@ class TestMinorNonnegativity:
                 )
                 m = parikh_matrix(ctx, w)
                 assert check_minor_nonneg(m, m.dim).all_nonnegative
+
+
+class TestPackedColumns:
+    """ParikhFold packs each column into one int whose limbs widen when the
+    letter count reaches 2**16, 2**17, ..."""
+
+    @pytest.mark.parametrize("inducing", ["ab", "abcba"])
+    def test_fold_across_the_width_step(self, inducing):
+        ctx = induced_by(inducing)  # classic for ab
+        rng = random.Random(25)
+        w = "".join(rng.choice(ctx.alphabet.concat()) for _ in range(2**16 + 5))
+        fold = ParikhFold(ctx)
+        fold.extend(w[: 2**16 - 1])
+        early = fold.result()
+        assert early == parikh_matrix_direct(ctx, w[: 2**16 - 1])
+        fold.push(w[2**16 - 1])
+        assert fold.result() == parikh_matrix_direct(ctx, w[: 2**16])
+        fold.extend(w[2**16 :])
+        final = fold.result()
+        assert final == parikh_matrix_direct(ctx, w)
+        assert final.entry(1, len(inducing) + 1) == count_subword(w, inducing)
+        # a result taken before the columns were repacked stays as it was
+        assert early == parikh_matrix_direct(ctx, w[: 2**16 - 1])
+
+    def test_single_letter_entry_past_sixteen_bits(self):
+        # k = 1: without widening, the 17-bit limb of the count of a would
+        # reach the guard bit
+        ctx = induced_by("a")
+        assert parikh_matrix(ctx, "a" * (2**16 + 3)).entry(1, 2) == 2**16 + 3
+
+    def test_guard_bit_raises_on_too_narrow_limbs(self, monkeypatch):
+        # with k = 2, limbs of 2 * 2 + 1 bits hold entries up to 15; the
+        # count of ab as a subword is 15 after (ab)^5 and 21 after (ab)^6
+        monkeypatch.setattr(packed, "_run_bits", lambda n: 2)
+        ctx = ParikhContext.classic(Alphabet.parse("ab"))
+        fold = ParikhFold(ctx)
+        fold.extend("ab" * 5)
+        assert fold.result() == parikh_matrix_direct(ctx, "ab" * 5)
+        fold.extend("ab")
+        with pytest.raises(RuntimeError, match="overflowed"):
+            fold.result()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.text(alphabet="abc", min_size=1, max_size=6),
+        st.text(alphabet="abc", max_size=40),
+    )
+    def test_fold_equals_direct(self, inducing, w):
+        ctx = induced_by(inducing, ABC)
+        assert parikh_matrix(ctx, w) == parikh_matrix_direct(ctx, w)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import enum_piece, induced_by
-from parikhseq import seqmat
+from parikhseq import packed
 from parikhseq.counting import count_gapped
 from parikhseq.intmat import IntMatrix
 from parikhseq.minors import minor_index_set
@@ -329,7 +329,7 @@ class TestPackedColumns:
     def test_guard_bit_raises_on_too_narrow_limbs(self, monkeypatch):
         # one-run limbs of 2 + 1 bits hold entries up to 3; F reaches 4
         # after four ab
-        monkeypatch.setattr(seqmat, "_run_bits", lambda n: 2)
+        monkeypatch.setattr(packed, "_run_bits", lambda n: 2)
         q = GapPattern.parse("ab")
         fold = SeqFold(q)
         fold.extend("ababab")
