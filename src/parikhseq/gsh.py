@@ -6,13 +6,14 @@ x and integer scaling; every expression is equivalent to a linear form, a
 finite integer combination of monomials, computed here by eliminating
 products.
 
-Product elimination recurses on the first factors of both sides (see
-linearize_product).  A junction of a run of each side contributes its
-reduction: the words carrying an overlap-connected, span-filling joint
-placement of both runs, each weighted by the number of such placements.  The
-paper-style rule set that reduces only plain-run-then-primed-run junctions
-undercounts (e.g. (a.a) x a on the word aa); it is kept for comparison as
-`linearize_product_literal` in tests/oracles.py.
+Product elimination recurses on the first cluster of a joint placement of
+both sides (see linearize_product): the leading factors of each side whose
+spans overlap-connect into one word v, which one letter-level walk builds
+with the number of placements giving each v.  A cluster of all of both runs
+is their junction reduction `red`, a gapped form of the infiltration product.
+The paper-style rule set that reduces only plain-run-then-primed-run
+junctions undercounts (e.g. (a.a) x a on the word aa); it is kept for
+comparison as `linearize_product_literal` in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iter_product
+from itertools import accumulate, product as iter_product
 from typing import Callable, Iterator, Union
 
 from .counting import count_gapped
@@ -240,43 +241,44 @@ def evaluate(e: Union[Expr, LinearForm], w: str) -> int:
     return _value(e, lambda m: _mono_value(m, w))
 
 
-def _placements(runs: Monomial, max_end: int) -> Iterator[tuple[int, ...]]:
-    """Start tuples with gap >= 0 between runs and every span within
-    [1, max_end]."""
-    # rest[k]: total length of runs[k:]; run k starts early enough to leave
-    # room for itself and every later run, so no dead prefix is explored
-    rest = [0] * (len(runs) + 1)
-    for k in range(len(runs) - 1, -1, -1):
-        rest[k] = rest[k + 1] + len(runs[k])
+def _first_clusters(p: Monomial, q: Monomial) -> dict[tuple[int, int], dict[str, int]]:
+    """First overlap-connected cluster of the joint placements of p and q
+    (canonical, not both empty), as {(r, s): {v: count}}: count placements of
+    p[:r] and q[:s] form one cluster filling the word v exactly.
 
-    def rec(k: int, lo: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if k == len(runs):
-            yield tuple(acc)
-            return
-        top = max_end - rest[k] + 1
-        for start in range(lo, top + 1):
-            acc.append(start)
-            yield from rec(k + 1, start + len(runs[k]), acc)
-            acc.pop()
+    The cluster is built letter by letter from state (0, 0), a state (i, j)
+    holding the letters of p and of q placed so far.  A side inside a factor
+    places its next letter; a side at a factor end may start its next factor
+    or wait.  At least one side places, and two placed letters must be equal.
+    The cluster ends at the first state after (0, 0) where neither side is
+    inside a factor.  States are taken in order of i + j, each after every
+    state that reaches it, so each count is summed exactly once."""
+    pf, qf = "".join(p), "".join(q)
+    # flat index of each factor end -> factors placed by then
+    p_ends = {n: k for k, n in enumerate(accumulate(map(len, p), initial=0))}
+    q_ends = {n: k for k, n in enumerate(accumulate(map(len, q), initial=0))}
+    layers: list[dict] = [{} for _ in range(len(pf) + len(qf) + 1)]
+    layers[0][(0, 0)] = {"": 1}
+    clusters: dict[tuple[int, int], dict[str, int]] = {}
+    for total, layer in enumerate(layers):
+        for (i, j), words in layer.items():
+            if total and i in p_ends and j in q_ends:
+                clusters[(p_ends[i], q_ends[j])] = words
+                continue
+            steps = []
+            if i < len(pf) and j in q_ends:
+                steps.append((i + 1, j, pf[i]))
+            if j < len(qf) and i in p_ends:
+                steps.append((i, j + 1, qf[j]))
+            if i < len(pf) and j < len(qf) and pf[i] == qf[j]:
+                steps.append((i + 1, j + 1, pf[i]))
+            for ni, nj, letter in steps:
+                nxt = layers[ni + nj].setdefault((ni, nj), {})
+                for v, c in words.items():
+                    nxt[v + letter] = nxt.get(v + letter, 0) + c
+    return clusters
 
-    yield from rec(0, 1, [])
 
-
-def _connected_span(intervals: list[tuple[int, int]]) -> int | None:
-    """Right end of the overlap-connected union starting at 1, or None if the
-    intervals do not chain into a single cluster from position 1."""
-    ordered = sorted(intervals)
-    if ordered[0][0] != 1:
-        return None
-    reach = ordered[0][1]
-    for start, end in ordered[1:]:
-        if start > reach:
-            return None
-        reach = max(reach, end)
-    return reach
-
-
-@lru_cache(maxsize=4096)
 def red(p_run: Monomial, q_run: Monomial) -> LinearForm:
     """Junction reduction: words v carrying a joint placement of both runs
     whose spans form one overlap-connected cluster filling v exactly, each
@@ -284,54 +286,29 @@ def red(p_run: Monomial, q_run: Monomial) -> LinearForm:
     qualifies."""
     if not p_run or not q_run:
         raise ValueError("red needs nonempty runs on both sides")
-    max_end = sum(map(len, p_run)) + sum(map(len, q_run)) - 1
-    acc: dict[Monomial, int] = {}
-    for p_starts in _placements(p_run, max_end):
-        letters: dict[int, str] = {}
-        for factor, start in zip(p_run, p_starts):
-            for offset, ch in enumerate(factor):
-                letters[start + offset] = ch
-        p_intervals = [(s, s + len(f) - 1) for f, s in zip(p_run, p_starts)]
-        for q_starts in _placements(q_run, max_end):
-            merged = dict(letters)
-            ok = True
-            for factor, start in zip(q_run, q_starts):
-                for offset, ch in enumerate(factor):
-                    pos = start + offset
-                    if merged.setdefault(pos, ch) != ch:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            intervals = p_intervals + [
-                (s, s + len(f) - 1) for f, s in zip(q_run, q_starts)
-            ]
-            span = _connected_span(intervals)
-            if span is None:
-                continue
-            # every placed letter lies in [1, span]; fewer than span means a gap
-            if len(merged) != span:
-                raise RuntimeError("connected cluster left a gap")
-            word = "".join(merged[pos] for pos in range(1, span + 1))
-            acc[(word,)] = acc.get((word,), 0) + 1
-    return LinearForm(acc)
+    words = _first_clusters(p_run, q_run).get((len(p_run), len(q_run)), {})
+    return LinearForm({(v,): a for v, a in words.items()})
+
+
+def _check_term_cap(terms: dict) -> None:
+    if len(terms) > MAX_LINEAR_TERMS:
+        raise ValueError(f"linear form exceeds the cap of {MAX_LINEAR_TERMS} terms")
 
 
 @lru_cache(maxsize=4096)
 def linearize_product(p: Monomial, q: Monomial) -> LinearForm:
     """Linear form equivalent to the product of two monomials.  A joint
-    placement of both starts with p's first factor alone, with q's first
-    factor alone, or with a junction of a prefix run of each side:
+    placement of both starts with a first cluster of p[:r] and q[:s] filling
+    a word v (see _first_clusters), followed by a placement of what remains:
 
-        p x q = p_1.(p[1:] x q) + q_1.(p x q[1:])
-                + sum_{r,s >= 1} red(p[:r], q[:s]).(p[r:] x q[s:]),
+        p x q = sum over first clusters (v, r, s) of v.(p[r:] x q[s:]),
 
-    and a product with the empty monomial is its other side.  The cache
-    shares suffix products across calls, so cost follows the (i, j) suffix
-    pairs and the size of their forms.  Raises ValueError, before recursing,
-    when the sides have more than MAX_PRODUCT_FACTORS factors together."""
+    and a product with the empty monomial is its other side.  A cluster of
+    one side alone is its first factor, r + s = 1.  The cache shares suffix
+    products across calls, so cost follows the (i, j) suffix pairs and the
+    size of their forms.  Raises ValueError, before recursing, when the sides
+    have more than MAX_PRODUCT_FACTORS factors together, and as soon as the
+    form has more than MAX_LINEAR_TERMS terms."""
     p = canonical_mono(p)
     q = canonical_mono(q)
     if not p or not q:
@@ -342,27 +319,20 @@ def linearize_product(p: Monomial, q: Monomial) -> LinearForm:
             f"{MAX_PRODUCT_FACTORS} factors"
         )
     acc: dict[Monomial, int] = {}
-
-    def add(head: Monomial, coeff: int, rest: LinearForm) -> None:
-        for m, c in rest._terms.items():
-            key = head + m
-            acc[key] = acc.get(key, 0) + coeff * c
-
-    add(p[:1], 1, linearize_product(p[1:], q))
-    add(q[:1], 1, linearize_product(p, q[1:]))
-    for r in range(1, len(p) + 1):
-        for s in range(1, len(q) + 1):
-            reduction = red(p[:r], q[:s])
-            if reduction:
-                rest = linearize_product(p[r:], q[s:])
-                for v, a in reduction._terms.items():
-                    add(v, a, rest)
+    for (r, s), words in _first_clusters(p, q).items():
+        rest = linearize_product(p[r:], q[s:])._terms
+        for v, a in words.items():
+            for m, c in rest.items():
+                key = (v,) + m
+                acc[key] = acc.get(key, 0) + a * c
+            _check_term_cap(acc)
     return LinearForm(acc)
 
 
 def linearize(e: Expr) -> LinearForm:
     """Equivalent linear form: structural recursion, products distributed
-    bilinearly over linearize_product."""
+    bilinearly over linearize_product.  Raises ValueError when a product's
+    form has more than MAX_LINEAR_TERMS terms."""
     if isinstance(e, Mono):
         return LinearForm({e.factors: 1})
     if isinstance(e, Neg):
@@ -383,6 +353,7 @@ def linearize(e: Expr) -> LinearForm:
                 for m2, c2 in rhs.items():
                     for m, c in linearize_product(m1, m2).items():
                         combined[m] = combined.get(m, 0) + c1 * c2 * c
+                    _check_term_cap(combined)
             acc = LinearForm(combined)
         return acc
     raise TypeError(f"not an expression: {e!r}")
@@ -574,6 +545,10 @@ MAX_NESTING = 100
 # one level per factor, at most two interpreter frames each, and a '*' chain
 # of MAX_NESTING + 1 letters fits
 MAX_PRODUCT_FACTORS = 256
+# most terms of a form linearize_product or linearize's product distribution
+# builds, checked as terms are added; low enough that the sub-products built
+# before a huge form is refused take seconds, not minutes
+MAX_LINEAR_TERMS = 20_000
 # most words equivalent_bounded enumerates (all words of length <= max_len);
 # times its bit length, most letters in them (2 * 10**7)
 MAX_BOUNDED_WORDS = 10**6

@@ -4,11 +4,12 @@ The counters enumerate occurrence tuples literally (feasible up to |w| ~ 12),
 independent of the tabulated counters in the package.  The small accessors
 after them (matrix cell diff, symbol index, pattern letter, induced Parikh
 context) serve only test code.  The generalized subword history helpers at
-the end are the ground shuffle, the interleaving test, the merge-scheme
-enumeration, the oracle for `parikhseq.gsh.linearize_product`, the literal
-junction rules, which undercount and are kept only for comparison with it,
-and word-by-word bounded evaluation, the oracle for
-`parikhseq.gsh.first_difference`.
+the end are the ground shuffle, the interleaving test, the junction
+reduction by enumeration of joint placements, the oracle for
+`parikhseq.gsh.red`, the merge-scheme enumeration built on it, the oracle for
+`parikhseq.gsh.linearize_product`, the literal junction rules, which
+undercount and are kept only for comparison with it, and word-by-word bounded
+evaluation, the oracle for `parikhseq.gsh.first_difference`.
 """
 
 from itertools import combinations
@@ -19,7 +20,6 @@ from parikhseq.gsh import (
     Monomial,
     canonical_mono,
     evaluate,
-    red,
     words_up_to,
 )
 from parikhseq.intmat import IntMatrix
@@ -213,6 +213,84 @@ def _schemes(np: int, nq: int) -> Iterator[tuple[tuple, ...]]:
     yield from rec(0, 0, "")
 
 
+def _placements(runs: Monomial, max_end: int) -> Iterator[tuple[int, ...]]:
+    """Start tuples with gap >= 0 between runs and every span within
+    [1, max_end]."""
+    # rest[k]: total length of runs[k:]; run k starts early enough to leave
+    # room for itself and every later run, so no dead prefix is explored
+    rest = [0] * (len(runs) + 1)
+    for k in range(len(runs) - 1, -1, -1):
+        rest[k] = rest[k + 1] + len(runs[k])
+
+    def rec(k: int, lo: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
+        if k == len(runs):
+            yield tuple(acc)
+            return
+        top = max_end - rest[k] + 1
+        for start in range(lo, top + 1):
+            acc.append(start)
+            yield from rec(k + 1, start + len(runs[k]), acc)
+            acc.pop()
+
+    yield from rec(0, 1, [])
+
+
+def _connected_span(intervals: list[tuple[int, int]]) -> int | None:
+    """Right end of the overlap-connected union starting at 1, or None if the
+    intervals do not chain into a single cluster from position 1."""
+    ordered = sorted(intervals)
+    if ordered[0][0] != 1:
+        return None
+    reach = ordered[0][1]
+    for start, end in ordered[1:]:
+        if start > reach:
+            return None
+        reach = max(reach, end)
+    return reach
+
+
+def red_placements(p_run: Monomial, q_run: Monomial) -> LinearForm:
+    """Junction reduction by enumerating every pair of placements of both
+    runs within their joined length and keeping those whose spans form one
+    overlap-connected cluster from position 1; exponential in the number of
+    factors.  The oracle for `parikhseq.gsh.red`."""
+    if not p_run or not q_run:
+        raise ValueError("red needs nonempty runs on both sides")
+    max_end = sum(map(len, p_run)) + sum(map(len, q_run)) - 1
+    acc: dict[Monomial, int] = {}
+    for p_starts in _placements(p_run, max_end):
+        letters: dict[int, str] = {}
+        for factor, start in zip(p_run, p_starts):
+            for offset, ch in enumerate(factor):
+                letters[start + offset] = ch
+        p_intervals = [(s, s + len(f) - 1) for f, s in zip(p_run, p_starts)]
+        for q_starts in _placements(q_run, max_end):
+            merged = dict(letters)
+            ok = True
+            for factor, start in zip(q_run, q_starts):
+                for offset, ch in enumerate(factor):
+                    pos = start + offset
+                    if merged.setdefault(pos, ch) != ch:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if not ok:
+                continue
+            intervals = p_intervals + [
+                (s, s + len(f) - 1) for f, s in zip(q_run, q_starts)
+            ]
+            span = _connected_span(intervals)
+            if span is None:
+                continue
+            # every placed letter lies in [1, span]; fewer than span means a gap
+            if len(merged) != span:
+                raise RuntimeError("connected cluster left a gap")
+            word = "".join(merged[pos] for pos in range(1, span + 1))
+            acc[(word,)] = acc.get((word,), 0) + 1
+    return LinearForm(acc)
+
+
 def linearize_product_schemes(p: Monomial, q: Monomial) -> LinearForm:
     """Product of two monomials by enumerating merge schemes: ways to
     interleave the two factor sequences into an alternating run sequence in
@@ -233,7 +311,7 @@ def linearize_product_schemes(p: Monomial, q: Monomial) -> LinearForm:
                 run = (p if seg[0] == "P" else q)[seg[1] : seg[2]]
                 partial = {m + run: c for m, c in partial.items()}
             else:
-                reduction = red(p[seg[1] : seg[2]], q[seg[3] : seg[4]])
+                reduction = red_placements(p[seg[1] : seg[2]], q[seg[3] : seg[4]])
                 if not reduction:
                     partial = {}
                     break
@@ -273,7 +351,7 @@ def linearize_product_literal(p: Monomial, q: Monomial) -> LinearForm:
                 side, run = runs[k]
                 if side == "P" and k + 1 < len(runs):
                     follow = runs[k + 1][1]
-                    branch = LinearForm({run + follow: 1}) + red(run, follow)
+                    branch = LinearForm({run + follow: 1}) + red_placements(run, follow)
                     forms.append(branch)
                     k += 2
                 else:

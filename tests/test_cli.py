@@ -359,6 +359,16 @@ class TestGsh:
         assert code == 2 and out == ""
         assert f"product of {gsh.MAX_PRODUCT_FACTORS} and 1 factors exceeds" in err
 
+    def test_huge_linear_form_is_usage_error(self, capsys):
+        text = ".".join(["ab"] * 60) + "*" + ".".join(["ba"] * 60)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "gsh", "linearize", text)
+        assert time.perf_counter() - start < 10.0
+        # drop the sub-products the refused product left in the cache
+        gsh.linearize_product.cache_clear()
+        assert code == 2 and out == ""
+        assert f"cap of {gsh.MAX_LINEAR_TERMS} terms" in err
+
     def test_equiv_over_letter_cap_is_usage_error(self, capsys):
         start = time.perf_counter()
         code, out, err = run_cli(

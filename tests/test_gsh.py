@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -12,6 +13,7 @@ from oracles import (
     is_interleaved,
     linearize_product_literal,
     linearize_product_schemes,
+    red_placements,
 )
 from parikhseq import gsh
 from parikhseq.counting import count_subword
@@ -195,7 +197,7 @@ class TestEvaluate:
 
 
 class TestCacheBounds:
-    @pytest.mark.parametrize("cached", [red, linearize_product], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("cached", [linearize_product], ids=lambda f: f.__name__)
     def test_cache_is_bounded(self, cached):
         assert cached.cache_info().maxsize is not None
 
@@ -368,6 +370,30 @@ class TestLinearizeProduct:
         long = ("a",) * (cap + 1)
         assert linearize_product(long, ()) == LinearForm({long: 1})
 
+    @pytest.mark.parametrize("m", [8, 12])
+    def test_letter_power_square_under_a_second(self, m):
+        # C(|w|_a, m)**2 = sum_k C(k, m) C(m, 2m - k) C(|w|_a, k): choose the
+        # union of two m-sets of a's (k of them), the first set in it, and the
+        # 2m - k letters of the first set that the second shares
+        linearize_product.cache_clear()
+        start = time.perf_counter()
+        form = linearize_product(("a",) * m, ("a",) * m)
+        assert time.perf_counter() - start < 1.0
+        expected = {
+            ("a",) * k: math.comb(k, m) * math.comb(m, 2 * m - k)
+            for k in range(m, 2 * m + 1)
+        }
+        assert form == LinearForm(expected)
+
+    def test_term_cap_checked_while_multiplying(self, monkeypatch):
+        # a cached form would be returned without a check
+        linearize_product.cache_clear()
+        monkeypatch.setattr(gsh, "MAX_LINEAR_TERMS", 10)
+        assert len(linearize_product(("ab",), ("ba",)).items()) == 4
+        with pytest.raises(ValueError, match="cap of 10 terms"):
+            linearize_product(("ab", "ab"), ("ba", "ba"))
+        linearize_product.cache_clear()
+
     def test_literal_rules_undercount(self):
         literal = linearize_product_literal(("a", "a"), ("a",))
         assert literal == LinearForm({("a", "a", "a"): 3, ("a", "a"): 1})
@@ -382,6 +408,13 @@ def _product_sides():
     # 0-3 factors of 1-3 letters over ab; the empty monomial is #e
     factor = st.text(alphabet="ab", min_size=1, max_size=3)
     return st.lists(factor, max_size=3).map(tuple)
+
+
+class TestRedAgainstPlacements:
+    @settings(max_examples=300, deadline=None)
+    @given(_product_sides().filter(bool), _product_sides().filter(bool))
+    def test_cluster_walk_equals_placement_enumeration(self, p, q):
+        assert red(p, q) == red_placements(p, q)
 
 
 class TestLinearizeProductAgainstSchemes:
@@ -403,6 +436,13 @@ class TestLinearize:
 
     def test_cancelling_products(self):
         assert linearize(parse_expr("-(a*b)+a*b")) == LinearForm.zero()
+
+    def test_term_cap_checked_while_distributing(self, monkeypatch):
+        # each product of two letters has two terms; the distribution has 32
+        monkeypatch.setattr(gsh, "MAX_LINEAR_TERMS", 10)
+        assert len(linearize(parse_expr("a*b")).items()) == 2
+        with pytest.raises(ValueError, match="cap of 10 terms"):
+            linearize(parse_expr("(a+b+c+d)*(e+f+g+h)"))
 
     def test_three_way_product(self):
         e = parse_expr("a*a*a")
@@ -430,7 +470,6 @@ class TestLinearize:
         stirling = [1] + [0] * n
         for _ in range(n):
             stirling = [0] + [k * stirling[k] + stirling[k - 1] for k in range(1, n + 1)]
-        red.cache_clear()
         linearize_product.cache_clear()
         start = time.perf_counter()
         linear = linearize(parse_expr("*".join(["a"] * n)))
