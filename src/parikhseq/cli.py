@@ -5,7 +5,9 @@ verify.  Words come from the positional argument, --file, or standard input
 ('-' or no argument); whitespace in piped input is ignored.  The matrix
 subcommand reads piped words in chunks of at most 64 KiB and pushes them
 through the fold letter by letter, so very long words stream in bounded
-memory.
+memory; from the 1025th letter on each push runs one generated
+straight-line step (see parikhseq.packed).  Its text lines are rendered
+only under --format text.
 
 Exit codes: 0 success, 1 property violation or internal disagreement,
 2 usage or parse errors.
@@ -150,19 +152,20 @@ def cmd_matrix(args) -> int:
         print("internal error: fold disagrees with direct construction", file=sys.stderr)
         return 1
     payload = {"kind": args.kind, **head, "length": n, **tail}
+    text = args.format == "text"  # text lines are built only when printed
     if isinstance(result, IntMatrix):
         payload.update(result.to_json_dict())
-        _emit(args, payload, str(result).splitlines())
+        _emit(args, payload, str(result).splitlines() if text else [])
         return 0
     payload.update(result.matrix.to_json_dict())
-    payload["blocks"] = {
-        name: block.to_json_dict()["rows"]
-        for name, block in result.blocks().items()
-    }
-    lines = str(result.matrix).splitlines()
-    for name, block in result.blocks().items():
-        lines.append(f"{name}:")
-        lines.extend(str(block).splitlines())
+    blocks = result.blocks()
+    payload["blocks"] = {name: block.to_json_dict()["rows"] for name, block in blocks.items()}
+    lines = []
+    if text:
+        lines = str(result.matrix).splitlines()
+        for name, block in blocks.items():
+            lines.append(f"{name}:")
+            lines.extend(str(block).splitlines())
     _emit(args, payload, lines)
     return 0
 

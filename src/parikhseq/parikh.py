@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .counting import count_subword
 from .intmat import IntMatrix
-from .packed import PackedFold
+from .packed import PackedFold, Plan
 from .words import Alphabet, PatternError, parse_word
 
 
@@ -59,7 +59,8 @@ class ParikhFold(PackedFold):
     Appending a letter multiplies on the right by a sparse generator, which
     reduces to column updates col[q+1] += col[q] for every inducing-word
     position q holding the letter; they run in descending q so each update
-    reads pre-push values.
+    reads pre-push values.  They are the adds of the letter's plan (see
+    PackedFold).
 
     Each column is packed into one Python int of k+1 limbs, k =
     len(ctx.inducing): row i of the column sits in limb i (see PackedFold),
@@ -77,26 +78,24 @@ class ParikhFold(PackedFold):
         super().__init__(len(ctx.inducing), ctx.dim)
         self._cols = [1 << q * self._w for q in range(ctx.dim)]  # the identity
 
-    def _plan(self, letter: str) -> tuple[tuple[int, int], ...]:
+    def _plan(self, letter: str) -> Plan:
         if letter not in self.ctx.alphabet:
             raise PatternError(f"symbol {letter!r} not in alphabet {self.ctx.alphabet}")
         inducing = self.ctx.inducing
-        plan = self._plans[letter] = tuple(
+        adds = tuple(
             (q + 1, q) for q in range(len(inducing) - 1, -1, -1) if inducing[q] == letter
         )
-        return plan
+        return adds, (), ()
 
     def push(self, letter: str) -> None:
-        plan = self._plans.get(letter)
-        if plan is None:
-            plan = self._plan(letter)  # validates before anything changes
+        step = self._steps.get(letter)
+        if step is None:
+            step = self._step(letter)  # validates before anything changes
         n = self._n + 1
-        if n == self._widen_at:
-            plan = self._widen(n, letter)
+        if n == self._event_at:
+            step = self._event(n, letter)
         self._n = n
-        cols = self._cols
-        for dst, src in plan:
-            cols[dst] += cols[src]
+        step(self._cols)
 
     def result(self) -> IntMatrix:
         return IntMatrix(list(zip(*self._unpacked())))

@@ -29,7 +29,7 @@ from typing import Iterable, Union
 
 from .counting import count_piece, factor_starts
 from .intmat import IntMatrix
-from .packed import PackedFold
+from .packed import PackedFold, Plan
 from .words import GapPattern, PatternError, Piece, SYMBOL_CHARS
 
 # (block row, block column) of each named block in [[I,E,F],[0,C,S],[0,0,I]]
@@ -149,11 +149,6 @@ def seq_matrix_letter(pattern: GapPattern, letter: str) -> IntMatrix:
     return seq_matrix_direct(pattern, letter).matrix
 
 
-# a SeqFold plan for one letter: (right, middle) column pairs to add,
-# (j, keep, unit) steps, columns to clear
-_Plan = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, bool, int], ...], tuple[int, ...]]
-
-
 class SeqFold(PackedFold):
     """Streaming left-to-right fold of letter matrices for one pattern.
 
@@ -190,12 +185,12 @@ class SeqFold(PackedFold):
     nonnegative terms of an entry after that push, so PackedFold's width
     rule applies with exponent f: W = f * max(n.bit_length(), 16) + 1.
 
-    The first push of each letter at a width validates the letter and
-    caches its plan: the columns j whose F and S change, the (j, keep,
-    unit) steps for the middle columns that take column j-1 (added to a
-    kept column, else moved in), and the columns to clear.  Steps run
-    highest j first and clears run last, so every step reads the pre-push
-    column j-1.  Kept columns with nothing to add are left out.
+    A letter's plan (see PackedFold) validates the letter and lists the
+    adds (d+j, j) for the columns j whose F and S change, the
+    (j, j-1, keep, unit) steps for the middle columns that take column j-1
+    (added to a kept column, else moved in), and the columns to clear.
+    Steps run highest j first and clears run last, so every step reads the
+    pre-push column j-1.  Kept columns with nothing to add are left out.
     """
 
     def __init__(self, pattern: GapPattern):
@@ -207,37 +202,28 @@ class SeqFold(PackedFold):
         w = self._w
         self._cols = [0] + [1 << (d + j - 1) * w for j in range(1, d + 1)] + [0] * d
 
-    def _plan(self, letter: str) -> _Plan:
+    def _plan(self, letter: str) -> Plan:
         if len(letter) != 1 or letter not in SYMBOL_CHARS:
             raise PatternError(f"invalid letter {letter!r}")
         flat, b, d, w = self.pattern.flat, self.pattern.boundaries, self._d, self._w
         tails = tuple((d + j, j) for j in range(1, d + 1) if flat[j] == letter)
         steps = tuple(
-            (j, j in b, 1 << (j - 1) * w) for j in range(d, 0, -1) if flat[j - 1] == letter
+            (j, j - 1, j in b, 1 << (j - 1) * w)
+            for j in range(d, 0, -1)
+            if flat[j - 1] == letter
         )
         clears = tuple(j for j in range(1, d + 1) if flat[j - 1] != letter and j not in b)
-        plan = self._plans[letter] = (tails, steps, clears)
-        return plan
+        return tails, steps, clears
 
     def push(self, letter: str) -> None:
-        plan = self._plans.get(letter)
-        if plan is None:
-            plan = self._plan(letter)  # validates before anything changes
+        step = self._steps.get(letter)
+        if step is None:
+            step = self._step(letter)  # validates before anything changes
         n = self._n + 1
-        if n == self._widen_at:
-            plan = self._widen(n, letter)
+        if n == self._event_at:
+            step = self._event(n, letter)
         self._n = n
-        tails, steps, clears = plan
-        cols = self._cols
-        for dst, src in tails:
-            cols[dst] += cols[src]
-        for j, keep, unit in steps:
-            if keep:
-                cols[j] += cols[j - 1] + unit
-            else:
-                cols[j] = cols[j - 1] + unit
-        for j in clears:
-            cols[j] = 0
+        step(self._cols)
 
     def result(self) -> SeqMatrix:
         d = self._d

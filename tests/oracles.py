@@ -3,7 +3,7 @@
 The counters enumerate occurrence tuples literally (feasible up to |w| ~ 12),
 independent of the tabulated counters in the package.  The small accessors
 after them (matrix cell diff, symbol index, pattern letter, induced Parikh
-context) serve only test code.  The generalized subword history helpers at
+context, the forms of a fold's cached steps) serve only test code.  The generalized subword history helpers at
 the end are the ground shuffle, the interleaving test, the junction
 reduction by enumeration of joint placements, the oracle for
 `parikhseq.gsh.red`, the merge-scheme enumeration built on it, the oracle for
@@ -22,7 +22,9 @@ from parikhseq.gsh import (
     evaluate,
     words_up_to,
 )
+from parikhseq import packed
 from parikhseq.intmat import IntMatrix
+from parikhseq.packed import PackedFold
 from parikhseq.parikh import ParikhContext
 from parikhseq.words import Alphabet, GapPattern, PatternError
 
@@ -139,6 +141,14 @@ def induced_by(inducing: str, alphabet: Alphabet | None = None) -> ParikhContext
 
 def is_classic(ctx: ParikhContext) -> bool:
     return ctx.inducing == ctx.alphabet.concat()
+
+
+_LOOP_CODE = packed.loop_step(((), (), ())).__code__
+
+
+def step_forms(fold: PackedFold) -> set[str]:
+    """The form of each step the fold has cached: "loop" or "generated"."""
+    return {"loop" if s.__code__ is _LOOP_CODE else "generated" for s in fold._steps.values()}
 
 
 def ground_shuffle(p: Monomial, q: Monomial) -> list[Monomial]:

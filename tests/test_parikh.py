@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import enum_subword, induced_by, is_classic
+from oracles import enum_subword, induced_by, is_classic, step_forms
 from parikhseq import packed
 from parikhseq.counting import count_subword
 from parikhseq.intmat import IntMatrix
@@ -152,9 +152,11 @@ class TestPackedColumns:
         w = "".join(rng.choice(ctx.alphabet.concat()) for _ in range(2**16 + 5))
         fold = ParikhFold(ctx)
         fold.extend(w[: 2**16 - 1])
+        assert step_forms(fold) == {"generated"}  # the widen rebuilds generated steps
         early = fold.result()
         assert early == parikh_matrix_direct(ctx, w[: 2**16 - 1])
         fold.push(w[2**16 - 1])
+        assert step_forms(fold) == {"generated"}
         assert fold.result() == parikh_matrix_direct(ctx, w[: 2**16])
         fold.extend(w[2**16 :])
         final = fold.result()
@@ -189,3 +191,55 @@ class TestPackedColumns:
     def test_fold_equals_direct(self, inducing, w):
         ctx = induced_by(inducing, ABC)
         assert parikh_matrix(ctx, w) == parikh_matrix_direct(ctx, w)
+
+
+class TestGeneratedSteps:
+    """A fold walks each letter's plan for its first packed._LOOP_LETTERS
+    letters, then runs one generated function per letter."""
+
+    SWITCH = packed._LOOP_LETTERS + 1  # the push that generates the steps
+
+    @pytest.mark.parametrize("inducing", ["ab", "abcba"])
+    def test_fold_equals_direct_around_the_switch(self, inducing):
+        ctx = induced_by(inducing)
+        rng = random.Random(26)
+        w = "".join(rng.choice(ctx.alphabet.concat()) for _ in range(self.SWITCH + 80))
+        fold = ParikhFold(ctx)
+        done = 0
+        # just before, at and past the switch
+        for n, form in ((self.SWITCH - 1, "loop"), (self.SWITCH, "generated"), (len(w), "generated")):
+            fold.extend(w[done:n])
+            done = n
+            assert step_forms(fold) == {form}
+            assert fold.result() == parikh_matrix_direct(ctx, w[:n])
+
+    def test_guard_bit_raises_after_the_switch(self, monkeypatch):
+        # as in TestPackedColumns, limbs of 2 * 2 + 1 bits and the count of
+        # ab reaching 21 after (ab)^6; c, outside the inducing word, changes
+        # no entry
+        monkeypatch.setattr(packed, "_run_bits", lambda n: 2)
+        ctx = ParikhContext(ABC, "ab")
+        w = "c" * self.SWITCH + "ab" * 5
+        fold = ParikhFold(ctx)
+        fold.extend(w)
+        assert step_forms(fold) == {"generated"}
+        assert fold.result() == parikh_matrix_direct(ctx, w)
+        fold.extend("ab")
+        with pytest.raises(RuntimeError, match="overflowed"):
+            fold.result()
+
+    @pytest.mark.parametrize("length", [SWITCH - 1, SWITCH + 10])
+    def test_invalid_letter_leaves_state(self, length):
+        # at SWITCH - 1 letters the rejected push would have been the switch
+        ctx = ParikhContext.classic(ABC)
+        rng = random.Random(27)
+        w = "".join(rng.choice("abc") for _ in range(length))
+        fold = ParikhFold(ctx)
+        fold.extend(w)
+        before = fold.result()
+        with pytest.raises(PatternError):
+            fold.push("z")
+        assert fold.result() == before
+        fold.extend("cba")
+        assert step_forms(fold) == {"generated"}
+        assert fold.result() == parikh_matrix_direct(ctx, w + "cba")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import enum_piece, induced_by
+from oracles import enum_piece, induced_by, step_forms
 from parikhseq import packed
 from parikhseq.counting import count_gapped
 from parikhseq.intmat import IntMatrix
@@ -302,9 +302,11 @@ class TestPackedColumns:
         w = "".join(rng.choice("ab") for _ in range(2**16 + 5))
         fold = SeqFold(q)
         fold.extend(w[: 2**16 - 1])
+        assert step_forms(fold) == {"generated"}  # the widen rebuilds generated steps
         early = fold.result()
         assert early == seq_matrix_direct(q, w[: 2**16 - 1])
         fold.push(w[2**16 - 1])
+        assert step_forms(fold) == {"generated"}
         assert fold.result() == seq_matrix_direct(q, w[: 2**16])
         fold.extend(w[2**16 :])
         assert fold.result() == seq_matrix_direct(q, w)
@@ -337,6 +339,69 @@ class TestPackedColumns:
         fold.extend("ab")
         with pytest.raises(RuntimeError, match="overflowed"):
             fold.result()
+
+
+class TestGeneratedSteps:
+    """A fold walks each letter's plan for its first packed._LOOP_LETTERS
+    letters, then runs one generated function per letter."""
+
+    SWITCH = packed._LOOP_LETTERS + 1  # the push that generates the steps
+
+    @pytest.mark.parametrize("pattern", ["ab.b.ab", "ab.ba.ab.ba.ab", "abc.ca.bc.ab.c"])
+    def test_fold_equals_direct_around_the_switch(self, pattern):
+        q = GapPattern.parse(pattern)
+        rng = random.Random(39)
+        w = "".join(rng.choice("abc") for _ in range(self.SWITCH + 80))
+        fold = SeqFold(q)
+        done = 0
+        # just before, at and past the switch
+        for n, form in ((self.SWITCH - 1, "loop"), (self.SWITCH, "generated"), (len(w), "generated")):
+            fold.extend(w[done:n])
+            done = n
+            assert step_forms(fold) == {form}
+            assert fold.result() == seq_matrix_direct(q, w[:n])
+
+    def test_thirty_one_runs_past_the_switch(self):
+        # W = 31 * 16 + 1 bits, so the unit of E's row 30 is
+        # 1 << 29 * 497, which has over 4300 decimal digits: a generated
+        # step binds it as a default instead of printing it
+        q = GapPattern(tuple("ab" * 15 + "a"))
+        rng = random.Random(40)
+        w = "".join(rng.choice("ab") for _ in range(self.SWITCH + 5))
+        fold = SeqFold(q)
+        fold.extend(w)
+        assert step_forms(fold) == {"generated"}
+        assert fold.result() == seq_matrix_direct(q, w)
+
+    def test_guard_bit_raises_after_the_switch(self, monkeypatch):
+        # as in TestPackedColumns, limbs of 2 + 1 bits and F reaching 4
+        # after four ab; the prefix of b keeps every entry below 2
+        monkeypatch.setattr(packed, "_run_bits", lambda n: 2)
+        q = GapPattern.parse("ab")
+        w = "b" * self.SWITCH + "ababab"
+        fold = SeqFold(q)
+        fold.extend(w)
+        assert step_forms(fold) == {"generated"}
+        assert fold.result() == seq_matrix_direct(q, w)
+        fold.extend("ab")
+        with pytest.raises(RuntimeError, match="overflowed"):
+            fold.result()
+
+    @pytest.mark.parametrize("length", [SWITCH - 1, SWITCH + 10])
+    @pytest.mark.parametrize("letter", ["!", "ab", ""])
+    def test_invalid_letter_leaves_state(self, length, letter):
+        # at SWITCH - 1 letters the rejected push would have been the switch
+        rng = random.Random(41)
+        w = "".join(rng.choice("abc") for _ in range(length))
+        fold = SeqFold(AB_C)
+        fold.extend(w)
+        before = fold.result()
+        with pytest.raises(PatternError):
+            fold.push(letter)
+        assert fold.result() == before
+        fold.extend("cba")
+        assert step_forms(fold) == {"generated"}
+        assert fold.result() == seq_matrix_direct(AB_C, w + "cba")
 
 
 class TestHomomorphism:
