@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from typing import Iterable, Iterator
 
@@ -34,16 +33,12 @@ from .minors import (
 )
 from .parikh import ParikhContext, ParikhFold, parikh_matrix_direct
 from .seqmat import SeqFold, seq_matrix, seq_matrix_direct
-from .words import Alphabet, GapPattern, SYMBOL_CHARS, PatternError, parse_word
+from .words import Alphabet, GapPattern, PatternError, check_symbols, parse_word
 
 # buffered words up to these lengths are cross-checked against the direct
 # construction; piped input streams through the fold unchecked
 _SEQ_CHECK_LIMIT = 200_000
 _PARIKH_CHECK_LIMIT = 2_000
-
-
-# any character that is not a word symbol
-_INVALID_SYMBOL = re.compile(f"[^{re.escape(''.join(sorted(SYMBOL_CHARS)))}]")
 
 
 def _stdin_chunks(stream) -> Iterator[str]:
@@ -54,9 +49,7 @@ def _stdin_chunks(stream) -> Iterator[str]:
         if not chunk:
             return
         chunk = "".join(chunk.split())
-        bad = _INVALID_SYMBOL.search(chunk)
-        if bad:
-            raise PatternError(f"invalid symbol {bad.group()!r} in piped word")
+        check_symbols(chunk, "invalid symbol {!r} in piped word")
         yield chunk
 
 
@@ -141,11 +134,9 @@ def cmd_matrix(args) -> int:
         head["pattern"] = mapping.render()
         # SeqFold rejects flat length < 2 before any input is consumed
         fold, direct, limit = SeqFold(mapping), seq_matrix_direct, _SEQ_CHECK_LIMIT
-    push = fold.push
     n = 0
     for chunk in chunks:
-        for ch in chunk:
-            push(ch)
+        fold.extend(chunk)
         n += len(chunk)
     result = fold.result()
     if word is not None and len(word) <= limit and direct(mapping, word) != result:

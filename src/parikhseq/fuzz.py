@@ -115,52 +115,65 @@ def _shrink_pattern(
     return pattern
 
 
-def run_homomorphism(seed: int, iters: int) -> FuzzReport:
+def _homomorphism_holds(pattern: GapPattern, w1: str, w2: str) -> bool:
     """Matrix of a concatenation equals the product of the matrices."""
-
-    def holds(pattern: GapPattern, w1: str, w2: str) -> bool:
-        lhs = seq_matrix(pattern, w1).matrix * seq_matrix(pattern, w2).matrix
-        return lhs == seq_matrix(pattern, w1 + w2).matrix
-
-    for i in range(iters):
-        rng = _rng(seed, "homomorphism", i)
-        alphabet = random_alphabet(rng)
-        pattern = random_pattern(rng, alphabet, min_flat=2)
-        w1 = random_word(rng, alphabet, 20)
-        w2 = random_word(rng, alphabet, 20)
-        if holds(pattern, w1, w2):
-            continue
-        pattern = _shrink_pattern(
-            pattern, lambda p: not holds(p, w1, w2), min_flat=2
-        )
-        w1 = _shrink_word(w1, lambda w: not holds(pattern, w, w2))
-        w2 = _shrink_word(w2, lambda w: not holds(pattern, w1, w))
-        return FuzzReport(
-            "homomorphism",
-            i + 1,
-            False,
-            f"pattern={pattern} w1={w1!r} w2={w2!r}",
-        )
-    return FuzzReport("homomorphism", iters, True)
+    lhs = seq_matrix(pattern, w1).matrix * seq_matrix(pattern, w2).matrix
+    return lhs == seq_matrix(pattern, w1 + w2).matrix
 
 
-def run_direct_vs_fold(seed: int, iters: int) -> FuzzReport:
+def _fold_holds(pattern: GapPattern, w: str) -> bool:
     """Cell-by-cell construction agrees with the letter fold."""
+    return seq_matrix(pattern, w) == seq_matrix_direct(pattern, w)
 
-    def holds(pattern: GapPattern, w: str) -> bool:
-        return seq_matrix(pattern, w) == seq_matrix_direct(pattern, w)
 
+def _witness_holds(pattern: GapPattern, w: str) -> bool:
+    """Witness reduction: the witness's Parikh matrix equals the special
+    minor, and both minor constructions agree."""
+    minor = special_minor(pattern, w)
+    witness = witness_word(pattern, w)
+    if witness_parikh_matrix(witness, len(pattern.factors)) != minor:
+        return False
+    if pattern.flat_length >= 2:
+        if special_minor_from_matrix(seq_matrix(pattern, w)) != minor:
+            return False
+    return True
+
+
+def _minors_holds(pattern: GapPattern, w: str) -> bool:
+    """Every minor of every special minor has nonnegative determinant."""
+    minor = special_minor(pattern, w)
+    return check_minor_nonneg(minor, minor.dim).all_nonnegative
+
+
+# suite -> (property of a pattern and words, word names, longest word,
+# least flat length of the pattern)
+_CASE_SUITES: dict[str, tuple[Callable[..., bool], tuple[str, ...], int, int]] = {
+    "homomorphism": (_homomorphism_holds, ("w1", "w2"), 20, 2),
+    "fold": (_fold_holds, ("w",), 20, 2),
+    "witness": (_witness_holds, ("w",), 10, 1),
+    "minors": (_minors_holds, ("w",), 10, 1),
+}
+
+
+def _run_cases(suite: str, seed: int, iters: int) -> FuzzReport:
+    """Draw a pattern and its words per case; on the first failure shrink
+    the pattern, then each word in turn, and report them."""
+    holds, names, max_len, min_flat = _CASE_SUITES[suite]
     for i in range(iters):
-        rng = _rng(seed, "fold", i)
+        rng = _rng(seed, suite, i)
         alphabet = random_alphabet(rng)
-        pattern = random_pattern(rng, alphabet, min_flat=2)
-        w = random_word(rng, alphabet, 20)
-        if holds(pattern, w):
+        pattern = random_pattern(rng, alphabet, min_flat=min_flat)
+        words = [random_word(rng, alphabet, max_len) for _ in names]
+        if holds(pattern, *words):
             continue
-        pattern = _shrink_pattern(pattern, lambda p: not holds(p, w), min_flat=2)
-        w = _shrink_word(w, lambda v: not holds(pattern, v))
-        return FuzzReport("fold", i + 1, False, f"pattern={pattern} w={w!r}")
-    return FuzzReport("fold", iters, True)
+        pattern = _shrink_pattern(pattern, lambda p: not holds(p, *words), min_flat)
+        for k in range(len(words)):
+            words[k] = _shrink_word(
+                words[k], lambda v: not holds(pattern, *words[:k], v, *words[k + 1 :])
+            )
+        text = " ".join(f"{name}={w!r}" for name, w in zip(names, words))
+        return FuzzReport(suite, i + 1, False, f"pattern={pattern} {text}")
+    return FuzzReport(suite, iters, True)
 
 
 def run_entry_law(seed: int, iters: int) -> FuzzReport:
@@ -205,53 +218,6 @@ def run_entry_law(seed: int, iters: int) -> FuzzReport:
                 "entries", i + 1, False, f"pattern={pattern} w={w!r}"
             )
     return FuzzReport("entries", iters, True)
-
-
-def run_witness(seed: int, iters: int) -> FuzzReport:
-    """Witness reduction: the witness's Parikh matrix equals the special
-    minor, and both minor constructions agree."""
-
-    def holds(pattern: GapPattern, w: str) -> bool:
-        minor = special_minor(pattern, w)
-        witness = witness_word(pattern, w)
-        if witness_parikh_matrix(witness, len(pattern.factors)) != minor:
-            return False
-        if pattern.flat_length >= 2:
-            if special_minor_from_matrix(seq_matrix(pattern, w)) != minor:
-                return False
-        return True
-
-    for i in range(iters):
-        rng = _rng(seed, "witness", i)
-        alphabet = random_alphabet(rng)
-        pattern = random_pattern(rng, alphabet)
-        w = random_word(rng, alphabet, 10)
-        if holds(pattern, w):
-            continue
-        pattern = _shrink_pattern(pattern, lambda p: not holds(p, w))
-        w = _shrink_word(w, lambda v: not holds(pattern, v))
-        return FuzzReport("witness", i + 1, False, f"pattern={pattern} w={w!r}")
-    return FuzzReport("witness", iters, True)
-
-
-def run_minor_nonneg(seed: int, iters: int) -> FuzzReport:
-    """Every minor of every special minor has nonnegative determinant."""
-
-    def holds(pattern: GapPattern, w: str) -> bool:
-        minor = special_minor(pattern, w)
-        return check_minor_nonneg(minor, minor.dim).all_nonnegative
-
-    for i in range(iters):
-        rng = _rng(seed, "minors", i)
-        alphabet = random_alphabet(rng)
-        pattern = random_pattern(rng, alphabet)
-        w = random_word(rng, alphabet, 10)
-        if holds(pattern, w):
-            continue
-        pattern = _shrink_pattern(pattern, lambda p: not holds(p, w))
-        w = _shrink_word(w, lambda v: not holds(pattern, v))
-        return FuzzReport("minors", i + 1, False, f"pattern={pattern} w={w!r}")
-    return FuzzReport("minors", iters, True)
 
 
 GSH_SUITE = (
@@ -303,19 +269,14 @@ def _words_through(w: str, alphabet: Alphabet) -> int:
     return sum(k**n for n in range(len(w))) + rank + 1
 
 
-# suite name -> runner taking (seed, iters, max_len); SUITES keeps this order
-_RUNNERS: dict[str, Callable[[int, int, int], FuzzReport]] = {
-    "homomorphism": lambda seed, iters, max_len: run_homomorphism(seed, iters),
-    "fold": lambda seed, iters, max_len: run_direct_vs_fold(seed, iters),
-    "entries": lambda seed, iters, max_len: run_entry_law(seed, iters),
-    "witness": lambda seed, iters, max_len: run_witness(seed, iters),
-    "minors": lambda seed, iters, max_len: run_minor_nonneg(seed, iters),
-    "gsh": lambda seed, iters, max_len: run_gsh(max_len),
-}
-SUITES = tuple(_RUNNERS)
+SUITES = ("homomorphism", "fold", "entries", "witness", "minors", "gsh")
 
 
 def run_suite(name: str, seed: int, iters: int, max_len: int) -> FuzzReport:
-    if name not in _RUNNERS:
-        raise ValueError(f"unknown suite {name!r}")
-    return _RUNNERS[name](seed, iters, max_len)
+    if name in _CASE_SUITES:
+        return _run_cases(name, seed, iters)
+    if name == "entries":
+        return run_entry_law(seed, iters)
+    if name == "gsh":
+        return run_gsh(max_len)
+    raise ValueError(f"unknown suite {name!r}")

@@ -7,7 +7,7 @@ rational intermediates).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class IntMatrix:
@@ -30,8 +30,17 @@ class IntMatrix:
         raise AttributeError("IntMatrix is immutable")
 
     @classmethod
+    def unit_upper(cls, dim: int, above: Callable[[int, int], int]) -> IntMatrix:
+        """Unit upper-triangular matrix with above(i, j) at each 1-based
+        entry (i, j), i < j."""
+        return cls(
+            [[above(i, j) if i < j else int(i == j) for j in range(1, dim + 1)]
+             for i in range(1, dim + 1)]
+        )
+
+    @classmethod
     def identity(cls, dim: int) -> IntMatrix:
-        return cls([[1 if i == j else 0 for j in range(dim)] for i in range(dim)])
+        return cls.unit_upper(dim, lambda i, j: 0)
 
     def entry(self, i: int, j: int) -> int:
         """Entry at 1-based (row, column)."""

@@ -40,19 +40,10 @@ def minor_index_set(pattern: GapPattern) -> tuple[int, ...]:
 
 def special_minor(pattern: GapPattern, w: str) -> IntMatrix:
     """Direct construction from gapped-subsequence counts."""
-    x = len(pattern.factors)
-    rows = []
-    for i in range(1, x + 2):
-        row = []
-        for j in range(1, x + 2):
-            if j < i:
-                row.append(0)
-            elif j == i:
-                row.append(1)
-            else:
-                row.append(count_gapped(w, pattern.factor_slice(i, j - 1)))
-        rows.append(row)
-    return IntMatrix(rows)
+    return IntMatrix.unit_upper(
+        len(pattern.factors) + 1,
+        lambda i, j: count_gapped(w, pattern.factor_slice(i, j - 1)),
+    )
 
 
 def special_minor_from_matrix(sm: SeqMatrix) -> IntMatrix:

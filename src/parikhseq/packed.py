@@ -90,9 +90,13 @@ class PackedFold:
     that push unpacks every column and repacks it wider.
 
     A subclass builds one plan per letter with _plan(letter), which also
-    validates the letter, and defines push itself, so that a letter costs
-    one method call: push looks up the letter's cached step, compares the
-    new letter count with _event_at, and calls the step on the columns.
+    validates the letter.  push and extend live here: push looks up the
+    letter's cached step, compares the new letter count with _event_at,
+    and calls the step on the columns; extend is the only loop over
+    letters.  Each subclass names push in its own class dict
+    (push = PackedFold.push), so that a tracer can wrap one fold's push
+    without the other's.
+
     A step comes in one of two forms, built from the same plan:
 
     - a loop step (loop_step), a closure walking the plan's tuples, for the
@@ -160,9 +164,20 @@ class PackedFold:
             columns.append([col >> k & mask for k in shifts[:top]] + zero[top:])
         return columns
 
+    def push(self, letter: str) -> None:
+        step = self._steps.get(letter)
+        if step is None:
+            step = self._step(letter)  # validates before anything changes
+        n = self._n + 1
+        if n == self._event_at:
+            step = self._event(n, letter)
+        self._n = n
+        step(self._cols)
+
     def extend(self, letters: Iterable[str]) -> None:
+        push = self.push
         for letter in letters:
-            self.push(letter)
+            push(letter)
 
     def _event(self, n: int, letter: str) -> Step:
         """Repack every column if n letters need wider limbs, set the next

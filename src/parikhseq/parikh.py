@@ -45,12 +45,10 @@ def letter_matrix(ctx: ParikhContext, letter: str) -> IntMatrix:
     for every inducing-word position q holding that letter."""
     if letter not in ctx.alphabet:
         raise PatternError(f"symbol {letter!r} not in alphabet {ctx.alphabet}")
-    n = ctx.dim
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for q, ch in enumerate(ctx.inducing):
-        if ch == letter:
-            rows[q][q + 1] = 1
-    return IntMatrix(rows)
+    inducing = ctx.inducing
+    return IntMatrix.unit_upper(
+        ctx.dim, lambda i, j: int(j == i + 1 and inducing[i - 1] == letter)
+    )
 
 
 class ParikhFold(PackedFold):
@@ -87,15 +85,7 @@ class ParikhFold(PackedFold):
         )
         return adds, (), ()
 
-    def push(self, letter: str) -> None:
-        step = self._steps.get(letter)
-        if step is None:
-            step = self._step(letter)  # validates before anything changes
-        n = self._n + 1
-        if n == self._event_at:
-            step = self._event(n, letter)
-        self._n = n
-        step(self._cols)
+    push = PackedFold.push
 
     def result(self) -> IntMatrix:
         return IntMatrix(list(zip(*self._unpacked())))
@@ -110,9 +100,7 @@ def parikh_matrix(ctx: ParikhContext, w: str) -> IntMatrix:
 
 def parikh_matrix_direct(ctx: ParikhContext, w: str) -> IntMatrix:
     """Entry-by-entry oracle: above-diagonal cells are subword counts."""
-    n = ctx.dim
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(1, n):
-        for j in range(i, n):
-            rows[i - 1][j] = count_subword(w, ctx.inducing[i - 1 : j])
-    return IntMatrix(rows)
+    inducing = ctx.inducing
+    return IntMatrix.unit_upper(
+        ctx.dim, lambda i, j: count_subword(w, inducing[i - 1 : j - 1])
+    )

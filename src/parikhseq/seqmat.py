@@ -215,15 +215,7 @@ class SeqFold(PackedFold):
         clears = tuple(j for j in range(1, d + 1) if flat[j - 1] != letter and j not in b)
         return tails, steps, clears
 
-    def push(self, letter: str) -> None:
-        step = self._steps.get(letter)
-        if step is None:
-            step = self._step(letter)  # validates before anything changes
-        n = self._n + 1
-        if n == self._event_at:
-            step = self._event(n, letter)
-        self._n = n
-        step(self._cols)
+    push = PackedFold.push
 
     def result(self) -> SeqMatrix:
         d = self._d

@@ -20,12 +20,14 @@ class PatternError(ValueError):
     """Malformed word, alphabet, or pattern text."""
 
 
-def _check_symbols(text: str, what: str) -> None:
-    for ch in text:
-        if ch not in SYMBOL_CHARS:
-            raise PatternError(
-                f"{what} contains invalid symbol {ch!r} (allowed: [a-zA-Z0-9])"
-            )
+def check_symbols(text: str, message: str) -> None:
+    """Raise PatternError(message.format(symbol)) at the first symbol of
+    text outside [a-zA-Z0-9].  The whole text is checked at C speed first;
+    the symbol is looked for only when that check fails."""
+    if not (text.isascii() and text.isalnum()):
+        for ch in text:
+            if ch not in SYMBOL_CHARS:
+                raise PatternError(message.format(ch))
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,7 @@ class Alphabet:
 
 def parse_word(text: str, alphabet: Alphabet | None = None) -> str:
     """Validate word text and return it; with an alphabet, enforce membership."""
-    _check_symbols(text, "word")
+    check_symbols(text, "word contains invalid symbol {!r} (allowed: [a-zA-Z0-9])")
     if alphabet is not None:
         for ch in text:
             if ch not in alphabet:
@@ -125,7 +127,9 @@ class GapPattern:
         for factor in self.factors:
             if not factor:
                 raise PatternError("pattern factors must be nonempty")
-            _check_symbols(factor, "pattern")
+            check_symbols(
+                factor, "pattern contains invalid symbol {!r} (allowed: [a-zA-Z0-9])"
+            )
         flat = "".join(self.factors)
         cuts = []
         total = 0

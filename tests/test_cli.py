@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -11,6 +12,8 @@ import pytest
 
 from parikhseq import cli, gsh
 from parikhseq.intmat import IntMatrix
+from parikhseq.parikh import ParikhFold
+from parikhseq.seqmat import SeqFold
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -228,6 +231,73 @@ class TestMatrix:
         assert code == 2 and "error" in err
 
 
+_BAD_WORD = "error: word contains invalid symbol '!' (allowed: [a-zA-Z0-9])\n"
+
+
+class TestInvalidSymbols:
+    """Each word source keeps its message and exit code 2."""
+
+    def test_non_ascii_byte_piped(self, capsys, monkeypatch):
+        # how sys.stdin decodes a byte that is not UTF-8 under the C locale
+        stdin = io.TextIOWrapper(
+            io.BytesIO(b"ab\xe9ab\n"), encoding="utf-8", errors="surrogateescape"
+        )
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run_cli(capsys, "matrix", "classic", "--alphabet", "ab")
+        assert (code, out, err) == (2, "", "error: invalid symbol '\\udce9' in piped word\n")
+
+    def test_argument_word(self, capsys):
+        code, out, err = run_cli(capsys, "matrix", "sequence", "--pattern", "ab.ba", "ab!a")
+        assert (code, out, err) == (2, "", _BAD_WORD)
+
+    def test_file_word(self, capsys, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("ab\n!a\n")
+        code, out, err = run_cli(
+            capsys, "matrix", "sequence", "--pattern", "ab.ba", "--file", str(path)
+        )
+        assert (code, out, err) == (2, "", _BAD_WORD)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("matrix", "sequence", "--pattern", "a!b.ba", "ab"),
+             "pattern contains invalid symbol '!' (allowed: [a-zA-Z0-9])"),
+            (("matrix", "classic", "--alphabet", "a!", "ab"), "invalid alphabet symbol '!'"),
+            (("matrix", "extended", "--alphabet", "ab", "--inducing", "a!b", "ab"),
+             "word contains invalid symbol '!' (allowed: [a-zA-Z0-9])"),
+        ],
+        ids=["pattern", "alphabet", "inducing"],
+    )
+    def test_option(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+class TestTracerContract:
+    """The benchmark's tracer wraps push and result from each fold class's
+    own dict, and counts one push call per letter."""
+
+    @pytest.mark.parametrize("fold", [SeqFold, ParikhFold], ids=lambda c: c.__name__)
+    def test_methods_in_class_dict(self, fold):
+        assert "push" in fold.__dict__ and "result" in fold.__dict__
+
+    def test_one_push_call_per_piped_letter(self, capsys, monkeypatch):
+        push = SeqFold.push
+        calls = []
+
+        def counting(self, letter):
+            calls.append(letter)
+            push(self, letter)
+
+        monkeypatch.setattr(SeqFold, "push", counting)
+        word = "".join(random.Random(4).choice("ab") for _ in range(70_000))
+        monkeypatch.setattr("sys.stdin", io.StringIO(word + "\n"))
+        code, _, _ = run_cli(capsys, "matrix", "sequence", "--pattern", "ab.ba")
+        assert code == 0
+        assert "".join(calls) == word
+
+
 class TestMinorAndWitness:
     def test_minor(self, capsys):
         code, out, _ = run_cli(
@@ -364,10 +434,9 @@ class TestGsh:
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "gsh", "linearize", text)
         assert time.perf_counter() - start < 10.0
-        # drop the sub-products the refused product left in the cache
-        gsh.linearize_product.cache_clear()
         assert code == 2 and out == ""
         assert f"cap of {gsh.MAX_LINEAR_TERMS} terms" in err
+        assert gsh.linearize_product.cache_info().currsize == 0
 
     def test_equiv_over_letter_cap_is_usage_error(self, capsys):
         start = time.perf_counter()
@@ -419,6 +488,18 @@ class TestVerify:
         code2, out2, _ = run_cli(capsys, *args)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (0, "fcf0c66ced28ea1608ac11744d9358e3bfda4b40f54fa33bfb2db613099b61b4"),
+            (5, "7c050e62b026c7251b31415dbb7a8a219b4a6a798e3a5acda8f570e819ce90cc"),
+        ],
+    )
+    def test_all_suites_json_is_pinned(self, capsys, seed, digest):
+        code, out, _ = run_cli(capsys, "verify", "all", "--seed", str(seed), "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_failure_sets_exit_code(self, capsys, monkeypatch):
         from parikhseq import fuzz

@@ -1,7 +1,16 @@
 import pytest
 
 from parikhseq import fuzz
+from parikhseq.intmat import IntMatrix
+from parikhseq.seqmat import SeqMatrix
 from parikhseq.words import GapPattern
+
+
+def _off_by_one(m: IntMatrix) -> IntMatrix:
+    """m with one more in its top right corner."""
+    rows = [list(row) for row in m.rows]
+    rows[0][-1] += 1
+    return IntMatrix(rows)
 
 
 class TestGenerators:
@@ -81,3 +90,56 @@ class TestSuites:
 
         monkeypatch.setattr(fuzz.gsh, "linearize", off_by_one)
         assert fuzz.run_gsh(6) == expected
+
+    @pytest.mark.parametrize(
+        "infix, expected",
+        [
+            ("ab", [
+                fuzz.FuzzReport("homomorphism", 1, False, "pattern=bb w1='ab' w2='ab'"),
+                fuzz.FuzzReport("fold", 1, False, "pattern=ab w='ab'"),
+                fuzz.FuzzReport("witness", 1, False, "pattern=bb w='ab'"),
+                fuzz.FuzzReport("entries", 1, False, "pattern=cbb w='ab'"),
+            ]),
+            # rarer failures pin the order of the cases drawn before them
+            ("cab", [
+                fuzz.FuzzReport("homomorphism", 31, False, "pattern=aa w1='cab' w2='cab'"),
+                fuzz.FuzzReport("fold", 34, False, "pattern=cb w='cab'"),
+                fuzz.FuzzReport("witness", 2, False, "pattern=cc w='cab'"),
+                fuzz.FuzzReport("entries", 1, False, "pattern=cbb w='cab'"),
+            ]),
+        ],
+    )
+    def test_sequence_matrix_failure_reports(self, monkeypatch, infix, expected):
+        seq_matrix = fuzz.seq_matrix
+
+        def wrong_on_infix(pattern, w):
+            sm = seq_matrix(pattern, w)
+            return SeqMatrix(pattern, _off_by_one(sm.matrix)) if infix in w else sm
+
+        monkeypatch.setattr(fuzz, "seq_matrix", wrong_on_infix)
+        reports = [fuzz.run_suite(r.suite, 3, 200, 5) for r in expected]
+        assert reports == expected
+
+    @pytest.mark.parametrize(
+        "infix, expected",
+        [
+            ("ab", [
+                fuzz.FuzzReport("witness", 1, False, "pattern=b w='ab'"),
+                fuzz.FuzzReport("minors", 15, False, "pattern=a.b w='ab'"),
+            ]),
+            ("cab", [
+                fuzz.FuzzReport("witness", 2, False, "pattern=c w='cab'"),
+                fuzz.FuzzReport("minors", 15, False, "pattern=a.b w='cab'"),
+            ]),
+        ],
+    )
+    def test_special_minor_failure_reports(self, monkeypatch, infix, expected):
+        special_minor = fuzz.special_minor
+
+        def wrong_on_infix(pattern, w):
+            minor = special_minor(pattern, w)
+            return _off_by_one(minor) if infix in w else minor
+
+        monkeypatch.setattr(fuzz, "special_minor", wrong_on_infix)
+        reports = [fuzz.run_suite(r.suite, 3, 200, 5) for r in expected]
+        assert reports == expected

@@ -392,7 +392,17 @@ class TestLinearizeProduct:
         assert len(linearize_product(("ab",), ("ba",)).items()) == 4
         with pytest.raises(ValueError, match="cap of 10 terms"):
             linearize_product(("ab", "ab"), ("ba", "ba"))
-        linearize_product.cache_clear()
+        # the refusal drops the sub-products it cached
+        assert linearize_product.cache_info().currsize == 0
+
+    def test_term_cap_clears_the_cache_behind_a_wrapper(self, monkeypatch):
+        # a tracer replaces the module's name with a wrapper that has no
+        # cache_clear; the refusal must still be a ValueError
+        monkeypatch.setattr(gsh, "linearize_product", lambda p, q: linearize_product(p, q))
+        monkeypatch.setattr(gsh, "MAX_LINEAR_TERMS", 10)
+        with pytest.raises(ValueError, match="cap of 10 terms"):
+            gsh.linearize(parse_expr("ab.ab*ba.ba"))
+        assert linearize_product.cache_info().currsize == 0
 
     def test_literal_rules_undercount(self):
         literal = linearize_product_literal(("a", "a"), ("a",))
@@ -443,6 +453,7 @@ class TestLinearize:
         assert len(linearize(parse_expr("a*b")).items()) == 2
         with pytest.raises(ValueError, match="cap of 10 terms"):
             linearize(parse_expr("(a+b+c+d)*(e+f+g+h)"))
+        assert linearize_product.cache_info().currsize == 0
 
     def test_three_way_product(self):
         e = parse_expr("a*a*a")
