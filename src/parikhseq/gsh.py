@@ -7,7 +7,7 @@ finite integer combination of monomials, computed here by eliminating
 products.
 
 Product elimination recurses on the first cluster of a joint placement of
-both sides (see linearize_product): the leading factors of each side whose
+both sides (see _product): the leading factors of each side whose
 spans overlap-connect into one word v, which one letter-level walk builds
 with the number of placements giving each v.  A cluster of all of both runs
 is their junction reduction `red`, a gapped form of the infiltration product.
@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate, product as iter_product
 from typing import Callable, Iterator, Union
 
-from .counting import count_gapped
-from .words import Alphabet, GapPattern, PatternError
+from .counting import _count_runs, factor_starts
+from .words import Alphabet, GapPattern, PatternError, check_symbols
 
 Monomial = tuple[str, ...]
 
@@ -131,11 +130,9 @@ class LinearForm:
 
     def __init__(self, terms: dict[Monomial, int] | None = None):
         clean: dict[Monomial, int] = {}
-        if terms:
-            for m, c in terms.items():
-                if c:
-                    key = canonical_mono(m)
-                    clean[key] = clean.get(key, 0) + c
+        for m, c in (terms or {}).items():
+            key = m if all(m) else canonical_mono(m)
+            clean[key] = clean.get(key, 0) + c
         object.__setattr__(self, "_terms", {m: c for m, c in clean.items() if c})
 
     def __setattr__(self, name, value):
@@ -212,7 +209,10 @@ class LinearForm:
 def _mono_value(m: Monomial, w: str) -> int:
     if not m:
         return 1
-    return count_gapped(w, GapPattern(m))
+    # what GapPattern(m) checks of a canonical monomial, and count_gapped's
+    # count, without building a pattern for every monomial on every word
+    check_symbols("".join(m), "pattern contains invalid symbol {!r} (allowed: [a-zA-Z0-9])")
+    return _count_runs(w, m, False, False, factor_starts)
 
 
 def _value(e: Union[Expr, LinearForm], mono_value: Callable[[Monomial], int]) -> int:
@@ -253,6 +253,10 @@ def _first_clusters(p: Monomial, q: Monomial) -> dict[tuple[int, int], dict[str,
     The cluster ends at the first state after (0, 0) where neither side is
     inside a factor.  States are taken in order of i + j, each after every
     state that reaches it, so each count is summed exactly once."""
+    if p and q and q[0][:1] not in p[0] and p[0][:1] not in q[0]:
+        # neither side can start inside the other's first factor or with it
+        # (an empty first factor, which red may be given, takes the walk)
+        return {(1, 0): {p[0]: 1}, (0, 1): {q[0]: 1}}
     pf, qf = "".join(p), "".join(q)
     # flat index of each factor end -> factors placed by then
     p_ends = {n: k for k, n in enumerate(accumulate(map(len, p), initial=0))}
@@ -290,75 +294,95 @@ def red(p_run: Monomial, q_run: Monomial) -> LinearForm:
     return LinearForm({(v,): a for v, a in words.items()})
 
 
-@lru_cache(maxsize=4096)
 def linearize_product(p: Monomial, q: Monomial) -> LinearForm:
-    """Linear form equivalent to the product of two monomials.  A joint
+    """Linear form equivalent to the product of two monomials, from one
+    recursion with its own memo (see _product).  Raises ValueError, before
+    recursing, when the sides have more than MAX_PRODUCT_FACTORS factors
+    together, and as soon as its memo holds more than MAX_LINEAR_TERMS
+    terms."""
+    return LinearForm(_product(canonical_mono(p), canonical_mono(q), {}))
+
+
+def _product(p: Monomial, q: Monomial, memo: dict) -> dict[Monomial, int]:
+    """Terms of the product of canonical monomials p and q.  A joint
     placement of both starts with a first cluster of p[:r] and q[:s] filling
     a word v (see _first_clusters), followed by a placement of what remains:
 
         p x q = sum over first clusters (v, r, s) of v.(p[r:] x q[s:]),
 
     and a product with the empty monomial is its other side.  A cluster of
-    one side alone is its first factor, r + s = 1.  The cache shares suffix
-    products across calls, so cost follows the (i, j) suffix pairs and the
-    size of their forms.  Raises ValueError, before recursing, when the sides
-    have more than MAX_PRODUCT_FACTORS factors together, and as soon as the
-    form has more than MAX_LINEAR_TERMS terms."""
-    p = canonical_mono(p)
-    q = canonical_mono(q)
+    one side alone is its first factor, r + s = 1.  memo belongs to one
+    linearize or linearize_product call: it maps (p, q) to its terms, so the
+    call builds each suffix product once and its cost follows the (i, j)
+    suffix pairs and the size of their forms.  memo[None] counts the terms
+    of every form in it, the unfinished ones included, and ValueError is
+    raised as soon as it passes MAX_LINEAR_TERMS."""
     if not p or not q:
-        return LinearForm({p + q: 1})
+        return {p + q: 1}
+    if (p, q) in memo:
+        return memo[(p, q)]
     if len(p) + len(q) > MAX_PRODUCT_FACTORS:
         raise ValueError(
             f"product of {len(p)} and {len(q)} factors exceeds the cap of "
             f"{MAX_PRODUCT_FACTORS} factors"
         )
-    acc: dict[Monomial, int] = {}
+    terms: dict[Monomial, int] = {}
     for (r, s), words in _first_clusters(p, q).items():
-        rest = linearize_product(p[r:], q[s:])._terms
+        rest = _product(p[r:], q[s:], memo)
         for v, a in words.items():
+            held = len(terms)
             for m, c in rest.items():
                 key = (v,) + m
-                acc[key] = acc.get(key, 0) + a * c
-            _check_term_cap(acc)
-    return LinearForm(acc)
+                terms[key] = terms.get(key, 0) + a * c
+            memo[None] = memo.get(None, 0) + len(terms) - held
+            _check_term_cap(memo[None])
+    memo[(p, q)] = terms
+    return terms
 
 
-def _check_term_cap(terms: dict, clear_cache=linearize_product.cache_clear) -> None:
-    """Raise ValueError past MAX_LINEAR_TERMS terms, first dropping the
-    sub-products the refused form left in linearize_product's cache; the
-    cache is bound here, so a wrapper put in linearize_product's place (as
-    the benchmark's tracer does) cannot hide it."""
-    if len(terms) > MAX_LINEAR_TERMS:
-        clear_cache()
+def _check_term_cap(held: int) -> None:
+    if held > MAX_LINEAR_TERMS:
         raise ValueError(f"linear form exceeds the cap of {MAX_LINEAR_TERMS} terms")
 
 
 def linearize(e: Expr) -> LinearForm:
     """Equivalent linear form: structural recursion, products distributed
-    bilinearly over linearize_product.  Raises ValueError when a product's
-    form has more than MAX_LINEAR_TERMS terms."""
+    bilinearly over _product with one memo for the whole call.  A product
+    that fills the memo past MAX_LINEAR_TERMS is built once more from an
+    empty memo, so sub-products of earlier products are dropped rather than
+    the call refused.  Raises ValueError when one product alone fills the
+    memo, or a distribution being built holds, more than MAX_LINEAR_TERMS
+    terms."""
+    return _linearize(e, {})
+
+
+def _linearize(e: Expr, memo: dict) -> LinearForm:
     if isinstance(e, Mono):
         return LinearForm({e.factors: 1})
     if isinstance(e, Neg):
-        return linearize(e.inner).scale(-1)
+        return _linearize(e.inner, memo).scale(-1)
     if isinstance(e, Scale):
-        return linearize(e.inner).scale(e.coeff)
+        return _linearize(e.inner, memo).scale(e.coeff)
     if isinstance(e, Sum):
-        out = LinearForm.zero()
-        for term in e.terms:
-            out = out + linearize(term)
-        return out
+        return sum((_linearize(term, memo) for term in e.terms), LinearForm())
     if isinstance(e, Prod):
         acc = LinearForm({(): 1})
         for part in e.parts:
-            rhs = linearize(part)
+            rhs = _linearize(part, memo)._terms
             combined: dict[Monomial, int] = {}
-            for m1, c1 in acc.items():
+            for m1, c1 in acc._terms.items():
                 for m2, c2 in rhs.items():
-                    for m, c in linearize_product(m1, m2).items():
+                    try:
+                        form = _product(m1, m2, memo)
+                    except ValueError:
+                        # earlier products' sub-products may have filled the
+                        # memo: drop them and build this product once more; a
+                        # product that fills an empty memo fails both times
+                        memo.clear()
+                        form = _product(m1, m2, memo)
+                    for m, c in form.items():
                         combined[m] = combined.get(m, 0) + c1 * c2 * c
-                    _check_term_cap(combined)
+                    _check_term_cap(len(combined))
             acc = LinearForm(combined)
         return acc
     raise TypeError(f"not an expression: {e!r}")
@@ -388,7 +412,9 @@ def equivalent_bounded(
     word (cost per trie node in its docstring).  Raises ValueError, before
     evaluating anything, when there are more than MAX_BOUNDED_WORDS words to
     try or more than MAX_BOUNDED_WORDS * MAX_BOUNDED_WORDS.bit_length()
-    letters in them."""
+    letters in them, and when max_len is negative."""
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
     k = len(alphabet.symbols)
     if k > 1 and max_len >= MAX_BOUNDED_WORDS.bit_length():
         # over 2**max_len words, past the cap: skip building the exact sum
@@ -533,11 +559,8 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
                 raise GshSyntaxError(f"bad token at {text[pos:]!r}")
             break
         pos = m.end()
-        for kind in ("int", "mono", "eps", "op"):
-            value = m.group(kind)
-            if value is not None:
-                tokens.append((kind, value))
-                break
+        # exactly one named group matches
+        tokens.append((m.lastgroup, m.group(m.lastgroup)))
     return tokens
 
 
@@ -546,13 +569,13 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 # tree level, so parsing and the recursive walks over the parsed tree stay far
 # below the interpreter's recursion limit
 MAX_NESTING = 100
-# most factors of a product's two sides together; linearize_product recurses
-# one level per factor, at most two interpreter frames each, and a '*' chain
-# of MAX_NESTING + 1 letters fits
+# most factors of a product's two sides together; _product recurses one
+# level per factor, one interpreter frame each, and a '*' chain of
+# MAX_NESTING + 1 letters fits
 MAX_PRODUCT_FACTORS = 256
-# most terms of a form linearize_product or linearize's product distribution
-# builds, checked as terms are added; low enough that the sub-products built
-# before a huge form is refused take seconds, not minutes
+# most terms in one call's memo (every sub-product form, finished or not) and
+# in each form linearize's product distribution builds; checked as terms are
+# added, so it bounds the call's memory
 MAX_LINEAR_TERMS = 20_000
 # most words equivalent_bounded enumerates (all words of length <= max_len);
 # times its bit length, most letters in them (2 * 10**7)

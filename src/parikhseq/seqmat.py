@@ -30,7 +30,7 @@ from typing import Iterable, Union
 from .counting import count_piece, factor_starts
 from .intmat import IntMatrix
 from .packed import PackedFold, Plan
-from .words import GapPattern, PatternError, Piece, SYMBOL_CHARS
+from .words import GapPattern, PatternError, Piece, check_letter
 
 # (block row, block column) of each named block in [[I,E,F],[0,C,S],[0,0,I]]
 BLOCKS = {"E": (0, 1), "F": (0, 2), "C": (1, 1), "S": (1, 2)}
@@ -144,8 +144,7 @@ def seq_matrix_direct(pattern: GapPattern, w: str) -> SeqMatrix:
 
 def seq_matrix_letter(pattern: GapPattern, letter: str) -> IntMatrix:
     """Generator matrix of a single letter."""
-    if len(letter) != 1 or letter not in SYMBOL_CHARS:
-        raise PatternError(f"invalid letter {letter!r}")
+    check_letter(letter, "invalid letter {!r}")
     return seq_matrix_direct(pattern, letter).matrix
 
 
@@ -203,8 +202,7 @@ class SeqFold(PackedFold):
         self._cols = [0] + [1 << (d + j - 1) * w for j in range(1, d + 1)] + [0] * d
 
     def _plan(self, letter: str) -> Plan:
-        if len(letter) != 1 or letter not in SYMBOL_CHARS:
-            raise PatternError(f"invalid letter {letter!r}")
+        check_letter(letter, "invalid letter {!r}")
         flat, b, d, w = self.pattern.flat, self.pattern.boundaries, self._d, self._w
         tails = tuple((d + j, j) for j in range(1, d + 1) if flat[j] == letter)
         steps = tuple(

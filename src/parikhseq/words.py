@@ -30,6 +30,13 @@ def check_symbols(text: str, message: str) -> None:
                 raise PatternError(message.format(ch))
 
 
+def check_letter(letter: str, message: str) -> None:
+    """Raise PatternError(message.format(letter)) unless letter is one
+    symbol of [a-zA-Z0-9]."""
+    if len(letter) != 1 or letter not in SYMBOL_CHARS:
+        raise PatternError(message.format(letter))
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """An ordered set of single-character symbols; order index is 1-based."""
@@ -41,8 +48,7 @@ class Alphabet:
             raise PatternError("alphabet must not be empty")
         seen = set()
         for sym in self.symbols:
-            if len(sym) != 1 or sym not in SYMBOL_CHARS:
-                raise PatternError(f"invalid alphabet symbol {sym!r}")
+            check_letter(sym, "invalid alphabet symbol {!r}")
             if sym in seen:
                 raise PatternError(f"duplicate alphabet symbol {sym!r}")
             seen.add(sym)

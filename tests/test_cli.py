@@ -436,7 +436,6 @@ class TestGsh:
         assert time.perf_counter() - start < 10.0
         assert code == 2 and out == ""
         assert f"cap of {gsh.MAX_LINEAR_TERMS} terms" in err
-        assert gsh.linearize_product.cache_info().currsize == 0
 
     def test_equiv_over_letter_cap_is_usage_error(self, capsys):
         start = time.perf_counter()

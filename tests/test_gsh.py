@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -196,12 +197,6 @@ class TestEvaluate:
         assert evaluate(e, "aa") == 2 * 1 + 2
 
 
-class TestCacheBounds:
-    @pytest.mark.parametrize("cached", [linearize_product], ids=lambda f: f.__name__)
-    def test_cache_is_bounded(self, cached):
-        assert cached.cache_info().maxsize is not None
-
-
 class TestGroundShuffle:
     def test_with_single_factor(self):
         terms = ground_shuffle(("ab", "c"), ("d",))
@@ -375,7 +370,6 @@ class TestLinearizeProduct:
         # C(|w|_a, m)**2 = sum_k C(k, m) C(m, 2m - k) C(|w|_a, k): choose the
         # union of two m-sets of a's (k of them), the first set in it, and the
         # 2m - k letters of the first set that the second shares
-        linearize_product.cache_clear()
         start = time.perf_counter()
         form = linearize_product(("a",) * m, ("a",) * m)
         assert time.perf_counter() - start < 1.0
@@ -386,23 +380,51 @@ class TestLinearizeProduct:
         assert form == LinearForm(expected)
 
     def test_term_cap_checked_while_multiplying(self, monkeypatch):
-        # a cached form would be returned without a check
-        linearize_product.cache_clear()
         monkeypatch.setattr(gsh, "MAX_LINEAR_TERMS", 10)
         assert len(linearize_product(("ab",), ("ba",)).items()) == 4
         with pytest.raises(ValueError, match="cap of 10 terms"):
             linearize_product(("ab", "ab"), ("ba", "ba"))
-        # the refusal drops the sub-products it cached
-        assert linearize_product.cache_info().currsize == 0
+
+    def test_term_cap_counts_every_form_in_the_memo(self, monkeypatch):
+        # a.a.a x a.a.a has 4 terms, but its memo holds the 23 terms of all
+        # nine products a^i x a^j, i, j in 1..3
+        monkeypatch.setattr(gsh, "MAX_LINEAR_TERMS", 10)
+        with pytest.raises(ValueError, match="cap of 10 terms"):
+            linearize_product(("a",) * 3, ("a",) * 3)
+        assert len(linearize(parse_expr("a*b")).items()) == 2
+        assert len(linearize_product(("ab",), ("ba",)).items()) == 4
+
+    def test_full_memo_is_dropped_between_products(self, monkeypatch):
+        # each of the four products needs at most 14 memo terms, but all four
+        # together need more than 20: the memo is dropped, not the call
+        e = parse_expr("(a.b + b.a) * (a.b + b.a)")
+        expected = linearize(e)
+        monkeypatch.setattr(gsh, "MAX_LINEAR_TERMS", 20)
+        assert linearize(e) == expected
+        # b.a x a.b alone needs 14
+        monkeypatch.setattr(gsh, "MAX_LINEAR_TERMS", 13)
+        with pytest.raises(ValueError, match="cap of 13 terms"):
+            linearize(e)
+
+    def test_refused_product_memory_is_bounded(self):
+        # the memo is the only store of sub-products, and it counts against
+        # the cap, so a refusal stops long before the form is complete
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"cap of {gsh.MAX_LINEAR_TERMS} terms"):
+                linearize_product(("ab",) * 60, ("ba",) * 60)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_term_cap_clears_the_cache_behind_a_wrapper(self, monkeypatch):
-        # a tracer replaces the module's name with a wrapper that has no
-        # cache_clear; the refusal must still be a ValueError
+        # a tracer replaces the module's name with a wrapper; the refusal
+        # must still be a ValueError
         monkeypatch.setattr(gsh, "linearize_product", lambda p, q: linearize_product(p, q))
         monkeypatch.setattr(gsh, "MAX_LINEAR_TERMS", 10)
         with pytest.raises(ValueError, match="cap of 10 terms"):
             gsh.linearize(parse_expr("ab.ab*ba.ba"))
-        assert linearize_product.cache_info().currsize == 0
 
     def test_literal_rules_undercount(self):
         literal = linearize_product_literal(("a", "a"), ("a",))
@@ -453,7 +475,6 @@ class TestLinearize:
         assert len(linearize(parse_expr("a*b")).items()) == 2
         with pytest.raises(ValueError, match="cap of 10 terms"):
             linearize(parse_expr("(a+b+c+d)*(e+f+g+h)"))
-        assert linearize_product.cache_info().currsize == 0
 
     def test_three_way_product(self):
         e = parse_expr("a*a*a")
@@ -481,7 +502,6 @@ class TestLinearize:
         stirling = [1] + [0] * n
         for _ in range(n):
             stirling = [0] + [k * stirling[k] + stirling[k - 1] for k in range(1, n + 1)]
-        linearize_product.cache_clear()
         start = time.perf_counter()
         linear = linearize(parse_expr("*".join(["a"] * n)))
         assert time.perf_counter() - start < 1.0
@@ -541,6 +561,12 @@ class TestEquivalence:
         with pytest.raises(ValueError, match="499999500000 letters"):
             equivalent_bounded(e, e, Alphabet.parse("a"), 999_999)
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("alphabet", ["a", "ab"])
+    def test_bounded_negative_maxlen_rejected(self, alphabet):
+        # no word has a negative length; the empty word must not be returned
+        with pytest.raises(ValueError, match="max_len must be >= 0, got -1"):
+            equivalent_bounded(parse_expr("#e"), parse_expr("a"), Alphabet.parse(alphabet), -1)
 
     def test_bounded_letter_cap_is_inclusive(self, monkeypatch):
         # cap 15 words, 15 * 4 = 60 letters; maxlen 10 holds 55, maxlen 11 66

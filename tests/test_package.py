@@ -17,3 +17,18 @@ def test_no_assert_statements_in_library():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def test_no_cached_functions_in_library():
+    # a decorator cache lives as long as the process; memos belong to one call
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for deco in node.decorator_list:
+                    target = deco.func if isinstance(deco, ast.Call) else deco
+                    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                    if name in ("lru_cache", "cache"):
+                        found.append(f"{path.name}:{node.lineno} {node.name}")
+    assert found == []
