@@ -138,10 +138,6 @@ class LinearForm:
     def __setattr__(self, name, value):
         raise AttributeError("LinearForm is immutable")
 
-    @classmethod
-    def zero(cls) -> LinearForm:
-        return cls()
-
     def items(self) -> list[tuple[Monomial, int]]:
         return sorted(self._terms.items(), key=lambda kv: mono_key(kv[0]))
 
@@ -155,18 +151,6 @@ class LinearForm:
 
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other: LinearForm) -> LinearForm:
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            out[m] = out.get(m, 0) + c
-        return LinearForm(out)
-
-    def __sub__(self, other: LinearForm) -> LinearForm:
-        return self + other.scale(-1)
-
-    def scale(self, coeff: int) -> LinearForm:
-        return LinearForm({m: coeff * c for m, c in self._terms.items()})
 
     def evaluate(self, w: str) -> int:
         return _value(self, lambda m: _mono_value(m, w))
@@ -346,32 +330,44 @@ def _check_term_cap(held: int) -> None:
 
 
 def linearize(e: Expr) -> LinearForm:
-    """Equivalent linear form: structural recursion, products distributed
-    bilinearly over _product with one memo for the whole call.  A product
-    that fills the memo past MAX_LINEAR_TERMS is built once more from an
-    empty memo, so sub-products of earlier products are dropped rather than
-    the call refused.  Raises ValueError when one product alone fills the
-    memo, or a distribution being built holds, more than MAX_LINEAR_TERMS
-    terms."""
-    return _linearize(e, {})
+    """Equivalent linear form, from one walk of e adding its terms into one
+    dict (see _add_terms) with one product memo for the whole call.  A
+    product that fills the memo past MAX_LINEAR_TERMS is built once more from
+    an empty memo, so sub-products of earlier products are dropped rather
+    than the call refused.  Raises ValueError when one product alone fills
+    the memo, or a dict the walk adds into, past MAX_LINEAR_TERMS terms."""
+    terms: dict[Monomial, int] = {}
+    _add_terms(e, 1, terms, {})
+    return LinearForm(terms)
 
 
-def _linearize(e: Expr, memo: dict) -> LinearForm:
+def _add_terms(e: Expr, coeff: int, out: dict[Monomial, int], memo: dict) -> None:
+    """Add coeff times the terms of e into out: Neg and Scale change coeff, a
+    Sum adds each term into the same out and a Prod adds the distribution of
+    its parts over _product, so no form is copied.  out and each distribution
+    are checked against MAX_LINEAR_TERMS by their entries, cancelled ones too."""
     if isinstance(e, Mono):
-        return LinearForm({e.factors: 1})
-    if isinstance(e, Neg):
-        return _linearize(e.inner, memo).scale(-1)
-    if isinstance(e, Scale):
-        return _linearize(e.inner, memo).scale(e.coeff)
-    if isinstance(e, Sum):
-        return sum((_linearize(term, memo) for term in e.terms), LinearForm())
-    if isinstance(e, Prod):
-        acc = LinearForm({(): 1})
+        out[e.factors] = out.get(e.factors, 0) + coeff
+        _check_term_cap(len(out))
+    elif isinstance(e, Neg):
+        _add_terms(e.inner, -coeff, out, memo)
+    elif isinstance(e, Scale):
+        _add_terms(e.inner, coeff * e.coeff, out, memo)
+    elif isinstance(e, Sum):
+        for term in e.terms:
+            _add_terms(term, coeff, out, memo)
+    elif isinstance(e, Prod):
+        acc: dict[Monomial, int] = {(): 1}
         for part in e.parts:
-            rhs = _linearize(part, memo)._terms
+            rhs: dict[Monomial, int] = {}
+            _add_terms(part, 1, rhs, memo)
             combined: dict[Monomial, int] = {}
-            for m1, c1 in acc._terms.items():
+            # cancelled terms are not distributed: (x - x) * y is the zero
+            # form however large x * y is
+            for m1, c1 in acc.items():
                 for m2, c2 in rhs.items():
+                    if not (c1 and c2):
+                        continue
                     try:
                         form = _product(m1, m2, memo)
                     except ValueError:
@@ -383,9 +379,12 @@ def _linearize(e: Expr, memo: dict) -> LinearForm:
                     for m, c in form.items():
                         combined[m] = combined.get(m, 0) + c1 * c2 * c
                     _check_term_cap(len(combined))
-            acc = LinearForm(combined)
-        return acc
-    raise TypeError(f"not an expression: {e!r}")
+            acc = combined
+        for m, c in acc.items():
+            out[m] = out.get(m, 0) + coeff * c
+        _check_term_cap(len(out))
+    else:
+        raise TypeError(f"not an expression: {e!r}")
 
 
 def equivalent(e1: Expr, e2: Expr) -> bool:
@@ -573,9 +572,9 @@ MAX_NESTING = 100
 # level per factor, one interpreter frame each, and a '*' chain of
 # MAX_NESTING + 1 letters fits
 MAX_PRODUCT_FACTORS = 256
-# most terms in one call's memo (every sub-product form, finished or not) and
-# in each form linearize's product distribution builds; checked as terms are
-# added, so it bounds the call's memory
+# most terms in one call's memo (every sub-product form, finished or not)
+# and in each dict linearize's walk adds into, cancelled terms included;
+# checked as terms are added, so it bounds the call's memory
 MAX_LINEAR_TERMS = 20_000
 # most words equivalent_bounded enumerates (all words of length <= max_len);
 # times its bit length, most letters in them (2 * 10**7)

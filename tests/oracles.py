@@ -355,17 +355,18 @@ def linearize_product_literal(p: Monomial, q: Monomial) -> LinearForm:
                     runs[-1] = (side, runs[-1][1] + (factor,))
                 else:
                     runs.append((side, (factor,)))
-            forms = [LinearForm({(): 1})]
+            forms = [{(): 1}]
             k = 0
             while k < len(runs):
                 side, run = runs[k]
                 if side == "P" and k + 1 < len(runs):
                     follow = runs[k + 1][1]
-                    branch = LinearForm({run + follow: 1}) + red_placements(run, follow)
+                    branch = dict(red_placements(run, follow).items())
+                    branch[run + follow] = branch.get(run + follow, 0) + 1
                     forms.append(branch)
                     k += 2
                 else:
-                    forms.append(LinearForm({run: 1}))
+                    forms.append({run: 1})
                     k += 1
             total: dict[Monomial, int] = {(): 1}
             for form in forms:

@@ -85,7 +85,9 @@ class TestSuites:
         def off_by_one(e):
             linear = linearize(e)
             if e == fuzz.gsh.parse_expr(broken):
-                linear = linear + fuzz.gsh.LinearForm({extra: 1})
+                terms = dict(linear.items())
+                terms[extra] = terms.get(extra, 0) + 1
+                linear = fuzz.gsh.LinearForm(terms)
             return linear
 
         monkeypatch.setattr(fuzz.gsh, "linearize", off_by_one)
