@@ -6,10 +6,11 @@ arbitrarily large counts.  Conventions: the empty subword/factor/piece counts
 1 occurrence in any word; a both-anchored empty piece counts 1 only in the
 empty word.
 
-`count_piece` takes the start lists of its runs from a `starts(w, run)`
-function, `factor_starts` by default.  A caller that counts many pieces of
-one word can pass `functools.cache(factor_starts)` so each distinct run is
-scanned once; the caller owns that memo and decides how long it lives.
+`count_piece` and `count_gapped` take the start lists of their runs from a
+`starts(w, run)` function, `factor_starts` by default.  A caller that
+counts many pieces or patterns of one word can pass
+`functools.cache(factor_starts)` so each distinct run is scanned once; the
+caller owns that memo and decides how long it lives.
 Anchored ends are checked in place (`startswith`/`endswith` and one cut in
 the last start list), never by scanning for the anchored run.
 """
@@ -96,10 +97,15 @@ def _count_runs(
     return sum(ways)
 
 
-def count_gapped(w: str, pattern: GapPattern) -> int:
+def count_gapped(
+    w: str,
+    pattern: GapPattern,
+    starts: Callable[[str, str], list[int]] = factor_starts,
+) -> int:
     """Occurrences of the gap pattern in w: factors matched contiguously,
-    consecutive factors separated by a gap of length >= 0."""
-    return _count_runs(w, pattern.factors, False, False, factor_starts)
+    consecutive factors separated by a gap of length >= 0.  `starts` is as
+    in `count_piece`."""
+    return _count_runs(w, pattern.factors, False, False, starts)
 
 
 def count_piece(

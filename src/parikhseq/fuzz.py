@@ -260,8 +260,9 @@ def run_gsh(max_len: int) -> FuzzReport:
 
 
 def _words_through(w: str, alphabet: Alphabet) -> int:
-    """Words up to and including w in words_up_to order: the shorter ones,
-    then w's rank among its length read as a base-k numeral."""
+    """Words up to and including w in shortlex order (shorter first, then
+    alphabet order): the shorter ones, then w's rank among its length read
+    as a base-k numeral."""
     k = len(alphabet)
     rank = 0
     for ch in w:

@@ -21,6 +21,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import accumulate, product as iter_product
+from math import prod
+from operator import mul
 from typing import Callable, Iterator, Union
 
 from .counting import _count_runs, factor_starts
@@ -153,7 +155,7 @@ class LinearForm:
         return hash(frozenset(self._terms.items()))
 
     def evaluate(self, w: str) -> int:
-        return _value(self, lambda m: _mono_value(m, w))
+        return _value(self, w)
 
     def render(self) -> str:
         if not self._terms:
@@ -199,30 +201,30 @@ def _mono_value(m: Monomial, w: str) -> int:
     return _count_runs(w, m, False, False, factor_starts)
 
 
-def _value(e: Union[Expr, LinearForm], mono_value: Callable[[Monomial], int]) -> int:
-    """Value of an expression or linear form, given the value of each of its
-    monomials; every monomial is looked up, none skipped."""
+def _value(e: Union[Expr, LinearForm], w: str) -> int:
+    """Value of an expression or linear form in w, each monomial counted in
+    w on its own and none skipped, so each one's symbols are checked."""
     if isinstance(e, LinearForm):
-        return sum(c * mono_value(m) for m, c in e._terms.items())
+        return sum(c * _mono_value(m, w) for m, c in e._terms.items())
     if isinstance(e, Mono):
-        return mono_value(e.factors)
+        return _mono_value(e.factors, w)
     if isinstance(e, Neg):
-        return -_value(e.inner, mono_value)
+        return -_value(e.inner, w)
     if isinstance(e, Sum):
-        return sum(_value(t, mono_value) for t in e.terms)
+        return sum(_value(t, w) for t in e.terms)
     if isinstance(e, Prod):
         value = 1
         for p in e.parts:
-            value *= _value(p, mono_value)
+            value *= _value(p, w)
         return value
     if isinstance(e, Scale):
-        return e.coeff * _value(e.inner, mono_value)
+        return e.coeff * _value(e.inner, w)
     raise TypeError(f"not an expression: {e!r}")
 
 
 def evaluate(e: Union[Expr, LinearForm], w: str) -> int:
     """Value of an expression or linear form in w."""
-    return _value(e, lambda m: _mono_value(m, w))
+    return _value(e, w)
 
 
 def _first_clusters(p: Monomial, q: Monomial) -> dict[tuple[int, int], dict[str, int]]:
@@ -393,6 +395,8 @@ def equivalent(e1: Expr, e2: Expr) -> bool:
 
 
 def words_up_to(alphabet: Alphabet, max_len: int) -> Iterator[str]:
+    """Every word of length <= max_len, in shortlex order (shorter first,
+    then alphabet order)."""
     for n in range(max_len + 1):
         for combo in iter_product(alphabet.symbols, repeat=n):
             yield "".join(combo)
@@ -405,7 +409,8 @@ def equivalent_bounded(
     max_len: int,
 ) -> tuple[bool, str | None]:
     """Exhaustive evaluation oracle: (False, first differing word) or
-    (True, None), over every word of length <= max_len, in words_up_to order.
+    (True, None), over every word of length <= max_len, in shortlex order
+    (shorter first, then alphabet order).
     The words are walked as a trie by first_difference, which updates each
     monomial's count from the node's ancestors instead of recounting it per
     word (cost per trie node in its docstring).  Raises ValueError, before
@@ -449,7 +454,7 @@ def first_difference(
     alphabet: Alphabet,
     max_len: int,
 ) -> str | None:
-    """First word of length <= max_len, in words_up_to order (shorter first,
+    """First word of length <= max_len, in shortlex order (shorter first,
     then alphabet order), on which e1 and e2 differ; None if there is none.
 
     Every monomial r_1. ... .r_t of either side has counts N_0..N_t per word,
@@ -462,14 +467,19 @@ def first_difference(
     the last letter, plus those whose r_i is the suffix of uc.  v is an
     ancestor of uc in the trie of words, so one depth-first walk keeps the
     counts of the current path's nodes, one list per depth, and computes each
-    node from them.  Cost per trie node: a copy of the parent's counts, one
-    endswith per distinct run ending in c, one addition per run position
-    whose suffix test passed, and one evaluation of each side's tree on the
-    counts.
+    node from them.
+
+    Neither side's tree is walked at a node: one evaluator of e1 - e2 is
+    built per call (see _evaluator), its linear part a list of coefficients
+    and a list of count slots, its products lists of factor slots.  Cost per
+    trie node: a copy of the parent's counts, one endswith per distinct run
+    ending in c, one addition per run position whose suffix test passed, and
+    one call of the evaluator: one C-level sum of products over the linear
+    terms that did not cancel, plus one product per product term.
 
     The walk is iterative (an explicit stack; one-letter alphabets go
     thousands deep) and visits letters in alphabet order, so among words of
-    one length it meets them in words_up_to order.  It keeps the shortest,
+    one length it meets them in alphabet order.  It keeps the shortest,
     then earliest, differing word met and skips every node not shorter than
     it, which also skips the later siblings of a differing node; what remains
     of the walk only looks for a shorter word.  No caps are checked here:
@@ -481,7 +491,7 @@ def first_difference(
     slot_of: dict[Monomial, int] = {(): 0}
     updates: dict[str, list[tuple[int, int]]] = {}  # run -> (N_i slot, N_{i-1} slot)
 
-    def register(m: Monomial) -> int:
+    def count_slot(m: Monomial) -> int:
         if m not in slot_of:
             prev = 0
             for run in m:
@@ -489,20 +499,15 @@ def first_difference(
                 updates.setdefault(run, []).append((len(counts) - 1, prev))
                 prev = len(counts) - 1
             slot_of[m] = prev
-        return 0
+        return slot_of[m]
 
-    # evaluating each side once with a recording lookup collects its monomials
-    _value(e1, register)
-    _value(e2, register)
+    # the sides differ on a word iff e1 - e2 is nonzero on its counts
+    difference = _evaluator(((e1, 1), (e2, -1)), count_slot)
     plan = {
         c: [(run, len(run), pairs) for run, pairs in updates.items() if run[-1] == c]
         for c in alphabet.symbols
     }
-
-    def value(m: Monomial) -> int:
-        return counts[slot_of[m]]
-
-    if _value(e1, value) != _value(e2, value):
+    if difference(counts):
         return ""
     path = [counts]  # path[d]: counts of the current node's ancestor of length d
     letters = alphabet.symbols[::-1]
@@ -520,11 +525,79 @@ def first_difference(
                 for slot, prev in pairs:
                     counts[slot] += before[prev]
         path[depth:] = [counts]
-        if _value(e1, value) != _value(e2, value):
+        if difference(counts):
             best = word
         elif depth < max_len and (best is None or depth + 1 < len(best)):
             stack.extend(word + c for c in letters)
     return best
+
+
+def _evaluator(
+    sides: tuple[tuple[Union[Expr, LinearForm], int], ...],
+    slot: Callable[[Monomial], int],
+) -> Callable[[list[int]], int]:
+    """Function giving the sum of c * e over the (e, c) in sides on a node's
+    counts, slot(m) being the index of monomial m's count.  One walk of the
+    sides, as in _add_terms: Neg and Scale change the running coefficient,
+    monomials and linear forms add into one {monomial: coeff} dict, and a
+    Prod, flattened through nested Prod, Neg and Scale parts, becomes one
+    term: a coefficient, the slots of its monomial parts and one evaluator
+    per other part, built the same way.  A monomial whose coefficient
+    cancels to zero takes no slot, and a product with coefficient zero is
+    left out."""
+    linear: dict[Monomial, int] = {}
+    prods: list[tuple[int, list[Monomial], list[Callable[[list[int]], int]]]] = []
+
+    def add(e: Union[Expr, LinearForm], coeff: int) -> None:
+        if isinstance(e, LinearForm):
+            for m, c in e._terms.items():
+                linear[m] = linear.get(m, 0) + coeff * c
+        elif isinstance(e, Mono):
+            linear[e.factors] = linear.get(e.factors, 0) + coeff
+        elif isinstance(e, Neg):
+            add(e.inner, -coeff)
+        elif isinstance(e, Scale):
+            add(e.inner, coeff * e.coeff)
+        elif isinstance(e, Sum):
+            for term in e.terms:
+                add(term, coeff)
+        elif isinstance(e, Prod):
+            monos: list[Monomial] = []
+            parts: list[Callable[[list[int]], int]] = []
+            prods.append((coeff * factor(e, monos, parts), monos, parts))
+        else:
+            raise TypeError(f"not an expression: {e!r}")
+
+    def factor(e: Expr, monos: list, parts: list) -> int:
+        """Put e's factors into monos and parts; return its coefficient."""
+        if isinstance(e, Prod):
+            return prod(factor(p, monos, parts) for p in e.parts)
+        if isinstance(e, Neg):
+            return -factor(e.inner, monos, parts)
+        if isinstance(e, Scale):
+            return e.coeff * factor(e.inner, monos, parts)
+        if isinstance(e, Mono):
+            monos.append(e.factors)
+        else:
+            parts.append(_evaluator(((e, 1),), slot))
+        return 1
+
+    for e, coeff in sides:
+        add(e, coeff)
+    coeffs = [c for c in linear.values() if c]
+    slots = [slot(m) for m, c in linear.items() if c]
+    terms = [(c, [slot(m) for m in monos], parts) for c, monos, parts in prods if c]
+
+    def value(counts: list[int]) -> int:
+        total = sum(map(mul, coeffs, map(counts.__getitem__, slots)))
+        for c, mono_slots, parts in terms:
+            term = c * prod(map(counts.__getitem__, mono_slots))
+            for part in parts:
+                term *= part(counts)
+            total += term
+        return total
+
+    return value
 
 
 # ---------------------------------------------------------------------------

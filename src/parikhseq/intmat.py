@@ -7,6 +7,7 @@ rational intermediates).
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 
@@ -16,7 +17,7 @@ class IntMatrix:
     __slots__ = ("dim", "rows")
 
     def __init__(self, rows: Iterable[Sequence[int]]):
-        frozen = tuple(tuple(int(v) for v in row) for row in rows)
+        frozen = tuple(tuple(map(int, row)) for row in rows)
         n = len(frozen)
         if n == 0:
             raise ValueError("matrix must have at least one row")
@@ -56,7 +57,7 @@ class IntMatrix:
         cols = list(zip(*other.rows))
         return IntMatrix(
             [
-                [sum(a * b for a, b in zip(row, col)) for col in cols]
+                [sum(map(mul, row, col)) for col in cols]
                 for row in self.rows
             ]
         )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from math import inf
 
@@ -39,10 +40,13 @@ def minor_index_set(pattern: GapPattern) -> tuple[int, ...]:
 
 
 def special_minor(pattern: GapPattern, w: str) -> IntMatrix:
-    """Direct construction from gapped-subsequence counts."""
+    """Direct construction from gapped-subsequence counts.  The cells share
+    one start list per distinct factor of w, memoized for this call and
+    dropped when it returns."""
+    starts = cache(factor_starts)
     return IntMatrix.unit_upper(
         len(pattern.factors) + 1,
-        lambda i, j: count_gapped(w, pattern.factor_slice(i, j - 1)),
+        lambda i, j: count_gapped(w, pattern.factor_slice(i, j - 1), starts),
     )
 
 

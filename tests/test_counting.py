@@ -229,6 +229,19 @@ class TestSharedStarts:
         assert count_piece("aab", Piece(("a", "b"), False, True), starts) == 2
         assert count_piece("abab", Piece(("a", "b"), True, False), starts) == 2
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_gapped_with_a_shared_memo_equals_without(self, data):
+        # one memo for several patterns of one word, as special_minor shares it
+        letters = st.sampled_from(data.draw(st.sampled_from(["ab", "abc"])))
+        run = st.lists(letters, min_size=1, max_size=3).map("".join)
+        patterns = data.draw(st.lists(st.lists(run, min_size=1, max_size=4), min_size=1, max_size=4))
+        w = "".join(data.draw(st.lists(letters, max_size=14)))
+        starts = cache(factor_starts)
+        for runs in patterns:
+            pattern = GapPattern(tuple(runs))
+            assert count_gapped(w, pattern, starts) == count_gapped(w, pattern)
+
     def test_starts_lists_are_not_mutated(self):
         lists = {}
 

@@ -716,6 +716,61 @@ class TestFirstDifference:
         assert gsh.first_difference(deep, LinearForm(), a, 6324) == "a" * 5000
         assert time.perf_counter() - start < 2.0
 
+    def test_coefficient_past_the_int_to_text_limit(self):
+        # 10**5000 has 5001 digits, past the 4300 that int() parses from
+        # text by default, so the sides are built in Python
+        big = 10**5000
+        e = Scale(big, parse_expr("a*b"))
+        equal = LinearForm({("a", "b"): big, ("b", "a"): big})
+        assert linearize(e) == equal
+        assert gsh.first_difference(e, equal, AB, 3) is None
+        off = LinearForm({("a", "b"): big + 1, ("b", "a"): big})
+        assert gsh.first_difference(e, off, AB, 3) == "ab"
+        assert gsh.first_difference(off, e, AB, 3) == "ab"
+
+    def test_longest_product_chain_against_its_form(self):
+        e = parse_expr("*".join(["a"] * (gsh.MAX_NESTING + 1)))
+        form = linearize(e)
+        for alphabet in (Alphabet.parse("a"), AB):
+            assert gsh.first_difference(e, form, alphabet, 3) is None
+        off = LinearForm({**dict(form.items()), ("a", "a", "a"): 0})
+        assert gsh.first_difference(e, off, AB, 3) == "aaa"
+
+    def test_deepest_parenthesized_expression_against_its_form(self):
+        text = "a*b"
+        for i in range(gsh.MAX_NESTING - 1):
+            text = f"(ab - {text})" if i % 2 else f"(b + {text})"
+        e = parse_expr(text)
+        form = linearize(e)
+        assert gsh.first_difference(e, form, AB, 3) is None
+        off = LinearForm({**dict(form.items()), ("a", "b"): 1})
+        # the form is ab - a.b - b.a, so the first difference is at ab
+        assert gsh.first_difference(e, off, AB, 3) == "ab"
+        assert first_difference_per_word(e, off, AB, 3) == "ab"
+
+    def test_zero_and_empty_word_sides(self):
+        zero = LinearForm()
+        assert gsh.first_difference(zero, zero, AB, 3) is None
+        assert gsh.first_difference(parse_expr("#e - #e"), zero, AB, 3) is None
+        assert gsh.first_difference(parse_expr("#e * #e + #e"), parse_expr("2#e"), AB, 3) is None
+        assert gsh.first_difference(EPSILON, LinearForm({(): 1}), AB, 3) is None
+        assert gsh.first_difference(EPSILON, zero, AB, 3) == ""
+        assert gsh.first_difference(zero, parse_expr("3(#e * #e)"), AB, 3) == ""
+
+    def test_cancelling_coefficients(self):
+        e = parse_expr("a + 2a - 3a")
+        assert gsh.first_difference(e, LinearForm(), AB, 3) is None
+        assert gsh.first_difference(e, parse_expr("a"), AB, 3) == "a"
+
+    @pytest.mark.parametrize("text", ["(-a) * 2b", "3(a * (-(b * (-2a))))", "(a - b) * (-a)"])
+    def test_signs_and_scales_inside_products(self, text):
+        e = parse_expr(text)
+        form = linearize(e)
+        assert gsh.first_difference(e, form, AB, 4) is None
+        assert gsh.first_difference(e, LinearForm(), AB, 4) == (
+            first_difference_per_word(e, LinearForm(), AB, 4)
+        )
+
 
 class TestLinearFormBasics:
     def test_zero_coefficients_dropped(self):
