@@ -36,13 +36,22 @@ def factor_starts(w: str, u: str) -> list[int]:
 
 
 def count_subword(w: str, u: str) -> int:
-    """Occurrences of u in w as a scattered subword (increasing positions)."""
+    """Occurrences of u in w as a scattered subword (increasing positions).
+
+    The textbook prefix DP, touching only the positions of u that hold the
+    current letter of w: O(|w| + the updates made), where each letter of w
+    makes one update per position of u holding it, and a letter absent from
+    u costs one dict lookup."""
     # ways[j] = occurrences of u[:j] in the prefix of w scanned so far
     ways = [1] + [0] * len(u)
+    # positions j of u holding each letter, highest first, so that every
+    # update of one letter reads ways[j - 1] from before that letter
+    at: dict[str, list[int]] = {}
+    for j in range(len(u), 0, -1):
+        at.setdefault(u[j - 1], []).append(j)
     for ch in w:
-        for j in range(len(u), 0, -1):
-            if u[j - 1] == ch:
-                ways[j] += ways[j - 1]
+        for j in at.get(ch, ()):
+            ways[j] += ways[j - 1]
     return ways[len(u)]
 
 

@@ -33,8 +33,16 @@ def _run_bits(n: int) -> int:
 
 
 def loop_step(plan: Plan) -> Step:
-    """A closure that walks the plan's tuples on every call."""
+    """A closure that walks the plan's tuples on every call; a plan of adds
+    only (every ParikhFold letter) gets one that walks only its adds."""
     adds, steps, clears = plan
+    if not (steps or clears):
+
+        def add(cols: list) -> None:
+            for dst, src in adds:
+                cols[dst] += cols[src]
+
+        return add
 
     def step(cols: list) -> None:
         for dst, src in adds:

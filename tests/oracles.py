@@ -1,9 +1,11 @@
 """Brute-force reference implementations and accessors used only by the tests.
 
 The counters enumerate occurrence tuples literally (feasible up to |w| ~ 12),
-independent of the tabulated counters in the package.  The small accessors
-after them (matrix cell diff, symbol index, pattern letter, induced Parikh
-context, the forms of a fold's cached steps) serve only test code.  The generalized subword history helpers at
+independent of the tabulated counters in the package.  The dense product
+forms all n^3 products, the oracle for `IntMatrix.__mul__`, which skips
+zeros.  The small accessors after them (matrix cell diff, symbol index,
+pattern letter, induced Parikh context, the forms of a fold's cached steps)
+serve only test code.  The generalized subword history helpers at
 the end are the ground shuffle, the interleaving test, the junction
 reduction by enumeration of joint placements, the oracle for
 `parikhseq.gsh.red`, the merge-scheme enumeration built on it, the oracle for
@@ -13,6 +15,7 @@ evaluation, the oracle for `parikhseq.gsh.first_difference`.
 """
 
 from itertools import combinations
+from operator import mul
 from typing import Iterator
 
 from parikhseq.gsh import (
@@ -22,7 +25,6 @@ from parikhseq.gsh import (
     evaluate,
     words_up_to,
 )
-from parikhseq import packed
 from parikhseq.intmat import IntMatrix
 from parikhseq.packed import PackedFold
 from parikhseq.parikh import ParikhContext
@@ -103,6 +105,14 @@ def det_cofactor(rows) -> int:
     return total
 
 
+def dense_product(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The textbook product: every row of a against every column of b."""
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
+    cols = list(zip(*b.rows))
+    return IntMatrix([[sum(map(mul, row, col)) for col in cols] for row in a.rows])
+
+
 def matrix_diff(a: IntMatrix, b: IntMatrix) -> list[tuple[int, int, int, int]]:
     """Cells where the matrices differ: (row, col, a value, b value), 1-based."""
     if a.dim != b.dim:
@@ -143,12 +153,10 @@ def is_classic(ctx: ParikhContext) -> bool:
     return ctx.inducing == ctx.alphabet.concat()
 
 
-_LOOP_CODE = packed.loop_step(((), (), ())).__code__
-
-
 def step_forms(fold: PackedFold) -> set[str]:
-    """The form of each step the fold has cached: "loop" or "generated"."""
-    return {"loop" if s.__code__ is _LOOP_CODE else "generated" for s in fold._steps.values()}
+    """The form of each step the fold has cached: "loop" (a closure over its
+    plan) or "generated" (no free variables; units are defaults)."""
+    return {"loop" if s.__closure__ else "generated" for s in fold._steps.values()}
 
 
 def ground_shuffle(p: Monomial, q: Monomial) -> list[Monomial]:

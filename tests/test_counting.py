@@ -39,6 +39,19 @@ class TestCountSubword:
             u = "".join(rng.choice("ab") for _ in range(rng.randint(0, 4)))
             assert count_subword(w, u) == enum_subword(w, u)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        w=st.text("abc", max_size=12),
+        # repeated letters, where the order of one letter's updates matters,
+        # and d, which w never holds
+        u=st.one_of(
+            st.sampled_from(["abab", "aab", "aaa", "abba", "baab", "cc"]),
+            st.text("abcd", max_size=5),
+        ),
+    )
+    def test_repeated_and_missing_letters(self, w, u):
+        assert count_subword(w, u) == enum_subword(w, u)
+
 
 class TestCountFactor:
     @pytest.mark.parametrize(

@@ -2,9 +2,13 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import det_cofactor, matrix_diff
+from oracles import dense_product, det_cofactor, matrix_diff
 from parikhseq.intmat import IntMatrix
+from parikhseq.seqmat import seq_matrix, seq_matrix_direct
+from parikhseq.words import GapPattern
 
 
 def random_matrix(rng, dim, lo=-9, hi=9):
@@ -58,6 +62,55 @@ class TestMultiply:
 
             assert (upper(False) * upper(False)).is_upper_triangular()
             assert (upper(True) * upper(True)).is_unit_upper_triangular()
+
+
+NONZERO = st.one_of(st.integers(-5, -1), st.integers(1, 5), st.sampled_from([10**40, -10**40]))
+
+
+@st.composite
+def sparse_matrices(draw, dim: int) -> IntMatrix:
+    """The identity, the zero matrix, or at most half the cells nonzero."""
+    kind = draw(st.sampled_from(["identity", "zero", "sparse"]))
+    if kind == "identity":
+        return IntMatrix.identity(dim)
+    cells = [0] * (dim * dim)
+    if kind == "sparse":
+        filled = draw(st.sets(st.integers(0, dim * dim - 1), max_size=dim * dim // 2))
+        for cell in filled:
+            cells[cell] = draw(NONZERO)
+    return IntMatrix([cells[i * dim : (i + 1) * dim] for i in range(dim)])
+
+
+@st.composite
+def sparse_pairs(draw) -> tuple[IntMatrix, IntMatrix]:
+    dim = draw(st.integers(1, 12))
+    return draw(sparse_matrices(dim)), draw(sparse_matrices(dim))
+
+
+class TestSparseProduct:
+    """The product skips zero entries; the dense textbook sum is its oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_pairs())
+    def test_matches_dense_product(self, pair):
+        a, b = pair
+        assert a * b == dense_product(a, b)
+
+    def test_four_blocks_at_the_largest_stream_pattern(self):
+        # d = 30: 90 x 90 matrices, the homomorphism the benchmark relies on
+        q = GapPattern.parse("abbabaabbaababbabaababbabaab.abb")
+        rng = random.Random(17)
+        blocks = ["".join(rng.choice("ab") for _ in range(300)) for _ in range(4)]
+        product = IntMatrix.identity(90)
+        for block in blocks:
+            product = product * seq_matrix_direct(q, block).matrix
+        assert product == seq_matrix(q, "".join(blocks)).matrix
+
+    def test_non_matrix_operand(self):
+        m = IntMatrix.identity(2)
+        assert m.__mul__(2) is NotImplemented
+        with pytest.raises(TypeError):
+            m * 2
 
 
 class TestMinor:

@@ -99,6 +99,12 @@ class TestEntryLaw:
             w = "".join(rng.choice("abc") for _ in range(rng.randint(0, 10)))
             assert parikh_matrix(ctx, w) == parikh_matrix_direct(ctx, w)
 
+    def test_direct_equals_fold_on_a_long_word(self):
+        ctx = induced_by("abcba")
+        rng = random.Random(31)
+        w = "".join(rng.choice("abc") for _ in range(300))
+        assert parikh_matrix_direct(ctx, w) == parikh_matrix(ctx, w)
+
     def test_direct_oracle_against_enumeration(self):
         rng = random.Random(24)
         for _ in range(60):
