@@ -18,7 +18,7 @@ the last start list), never by scanning for the anchored run.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable
+from typing import Callable, Hashable, Sequence
 
 from .words import GapPattern, Piece
 
@@ -35,24 +35,32 @@ def factor_starts(w: str, u: str) -> list[int]:
     return out
 
 
-def count_subword(w: str, u: str) -> int:
-    """Occurrences of u in w as a scattered subword (increasing positions).
+def subword_prefix_counts(w: Sequence[Hashable], u: Sequence[Hashable]) -> list[int]:
+    """Occurrences of u[:j] in w as a scattered subword (increasing
+    positions), for j = 0 .. len(u); w and u may be any sequences of
+    hashable symbols.
 
     The textbook prefix DP, touching only the positions of u that hold the
-    current letter of w: O(|w| + the updates made), where each letter of w
-    makes one update per position of u holding it, and a letter absent from
+    current symbol of w: O(|w| + the updates made), where each symbol of w
+    makes one update per position of u holding it, and a symbol absent from
     u costs one dict lookup."""
     # ways[j] = occurrences of u[:j] in the prefix of w scanned so far
     ways = [1] + [0] * len(u)
-    # positions j of u holding each letter, highest first, so that every
-    # update of one letter reads ways[j - 1] from before that letter
-    at: dict[str, list[int]] = {}
+    # positions j of u holding each symbol, highest first, so that every
+    # update of one symbol reads ways[j - 1] from before that symbol
+    at: dict[Hashable, list[int]] = {}
     for j in range(len(u), 0, -1):
         at.setdefault(u[j - 1], []).append(j)
     for ch in w:
         for j in at.get(ch, ()):
             ways[j] += ways[j - 1]
-    return ways[len(u)]
+    return ways
+
+
+def count_subword(w: str, u: str) -> int:
+    """Occurrences of u in w as a scattered subword: the last of
+    subword_prefix_counts(w, u)."""
+    return subword_prefix_counts(w, u)[-1]
 
 
 def count_factor(w: str, u: str) -> int:

@@ -27,6 +27,9 @@ from .seqmat import seq_matrix, seq_matrix_direct
 from .words import Alphabet, GapPattern
 
 LETTER_POOL = "abc"
+# a random pattern has 1..MAX_FACTORS factors of 1..MAX_FACTOR_LEN letters
+MAX_FACTORS = 3
+MAX_FACTOR_LEN = 3
 
 
 @dataclass(frozen=True)
@@ -41,8 +44,8 @@ def _rng(seed: int, suite: str, index: int) -> random.Random:
     return random.Random(f"{seed}:{suite}:{index}")
 
 
-def random_alphabet(rng: random.Random, max_size: int = 3) -> Alphabet:
-    size = rng.randint(1, max_size)
+def random_alphabet(rng: random.Random) -> Alphabet:
+    size = rng.randint(1, len(LETTER_POOL))
     return Alphabet(tuple(LETTER_POOL[:size]))
 
 
@@ -51,19 +54,13 @@ def random_word(rng: random.Random, alphabet: Alphabet, max_len: int) -> str:
     return "".join(rng.choice(alphabet.symbols) for _ in range(length))
 
 
-def random_pattern(
-    rng: random.Random,
-    alphabet: Alphabet,
-    max_factors: int = 3,
-    max_factor_len: int = 3,
-    min_flat: int = 1,
-) -> GapPattern:
+def random_pattern(rng: random.Random, alphabet: Alphabet, min_flat: int = 1) -> GapPattern:
     while True:
-        count = rng.randint(1, max_factors)
+        count = rng.randint(1, MAX_FACTORS)
         factors = tuple(
             "".join(
                 rng.choice(alphabet.symbols)
-                for _ in range(rng.randint(1, max_factor_len))
+                for _ in range(rng.randint(1, MAX_FACTOR_LEN))
             )
             for _ in range(count)
         )

@@ -359,6 +359,8 @@ def _add_terms(e: Expr, coeff: int, out: dict[Monomial, int], memo: dict) -> Non
         for term in e.terms:
             _add_terms(term, coeff, out, memo)
     elif isinstance(e, Prod):
+        if not coeff:
+            return  # 0 * (x * y) is the zero form however large x * y is
         acc: dict[Monomial, int] = {(): 1}
         for part in e.parts:
             rhs: dict[Monomial, int] = {}

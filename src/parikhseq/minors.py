@@ -11,7 +11,6 @@ nonnegative.
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
@@ -19,12 +18,9 @@ from math import inf
 
 from .counting import count_gapped, factor_starts
 from .intmat import IntMatrix
-from .parikh import ParikhContext, parikh_matrix
+from .parikh import subword_matrix
 from .seqmat import SeqMatrix
-from .words import Alphabet, GapPattern
-
-# single-character pool backing the derived alphabet a_1 < ... < a_x
-_WITNESS_POOL = string.ascii_lowercase + string.ascii_uppercase + string.digits
+from .words import GapPattern
 
 
 def minor_index_set(pattern: GapPattern) -> tuple[int, ...]:
@@ -56,13 +52,6 @@ def special_minor_from_matrix(sm: SeqMatrix) -> IntMatrix:
     return sm.matrix.minor(idx, idx)
 
 
-def witness_alphabet(x: int) -> Alphabet:
-    """Derived alphabet a_1 < ... < a_x, one symbol per factor index."""
-    if not 1 <= x <= len(_WITNESS_POOL):
-        raise ValueError(f"witness alphabet supports 1..{len(_WITNESS_POOL)} factors")
-    return Alphabet(tuple(_WITNESS_POOL[:x]))
-
-
 def witness_text(witness: tuple[int, ...], x: int) -> str:
     """Render factor indices as a_1..a_x tokens; comma-joined when x > 9."""
     tokens = [f"a{i}" for i in witness]
@@ -70,10 +59,9 @@ def witness_text(witness: tuple[int, ...], x: int) -> str:
 
 
 def witness_parikh_matrix(witness: tuple[int, ...], x: int) -> IntMatrix:
-    """Classic Parikh matrix of the witness over the derived alphabet."""
-    alphabet = witness_alphabet(x)
-    word = "".join(alphabet.symbols[i - 1] for i in witness)
-    return parikh_matrix(ParikhContext.classic(alphabet), word)
+    """Classic Parikh matrix of the witness over the derived alphabet
+    a_1 < ... < a_x, read directly off the factor indices 1..x."""
+    return subword_matrix(range(1, x + 1), witness)
 
 
 def witness_word(pattern: GapPattern, w: str) -> tuple[int, ...]:

@@ -11,8 +11,9 @@ the special case where v enumerates the ordered alphabet.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Hashable, Sequence
 
-from .counting import count_subword
+from .counting import subword_prefix_counts
 from .intmat import IntMatrix
 from .packed import PackedFold, Plan
 from .words import Alphabet, PatternError, parse_word
@@ -40,15 +41,21 @@ class ParikhContext:
         return len(self.inducing) + 1
 
 
+def subword_matrix(inducing: Sequence[Hashable], w: Sequence[Hashable]) -> IntMatrix:
+    """Image of w under the mapping induced by `inducing`, counted directly:
+    row i is i zeros, then the counts of the prefixes of inducing[i:] as
+    scattered subwords of w, so each row is one subword_prefix_counts pass.
+    Both arguments may be any sequences of hashable symbols."""
+    rows = range(len(inducing) + 1)
+    return IntMatrix([[0] * i + subword_prefix_counts(w, inducing[i:]) for i in rows])
+
+
 def letter_matrix(ctx: ParikhContext, letter: str) -> IntMatrix:
     """Image of a single letter: unit upper triangular with a 1 at (q, q+1)
     for every inducing-word position q holding that letter."""
     if letter not in ctx.alphabet:
         raise PatternError(f"symbol {letter!r} not in alphabet {ctx.alphabet}")
-    inducing = ctx.inducing
-    return IntMatrix.unit_upper(
-        ctx.dim, lambda i, j: int(j == i + 1 and inducing[i - 1] == letter)
-    )
+    return subword_matrix(ctx.inducing, letter)
 
 
 class ParikhFold(PackedFold):
@@ -99,8 +106,6 @@ def parikh_matrix(ctx: ParikhContext, w: str) -> IntMatrix:
 
 
 def parikh_matrix_direct(ctx: ParikhContext, w: str) -> IntMatrix:
-    """Entry-by-entry oracle: above-diagonal cells are subword counts."""
-    inducing = ctx.inducing
-    return IntMatrix.unit_upper(
-        ctx.dim, lambda i, j: count_subword(w, inducing[i - 1 : j - 1])
-    )
+    """Oracle independent of the fold: above-diagonal cells are subword
+    counts, one prefix-count pass per row (see subword_matrix)."""
+    return subword_matrix(ctx.inducing, w)

@@ -105,23 +105,22 @@ class SeqMatrix:
         return str(self.matrix)
 
 
-def _assemble(pattern: GapPattern, blocks: dict[str, list[list[int]]]) -> SeqMatrix:
-    """Full matrix from column-major d x d blocks (block[j][i] is entry
-    (i, j)), placed by BLOCKS on an identity background."""
-    d = len(blocks["E"])
+def _assemble(pattern: GapPattern, mid: list[list[int]], right: list[list[int]]) -> SeqMatrix:
+    """Full matrix from its middle and right block columns: mid[j] is
+    column j+1 of E over C and right[j] column j+1 of F over S, 2d entries
+    each, completed by the identity and zero parts of [[I,E,F],[0,C,S],[0,0,I]]."""
+    d = len(mid)
     zero = [0] * d
-    zeros = [zero] * d
     unit = [zero[:j] + [1] + zero[j + 1 :] for j in range(d)]
-    # grid[block column][block row], each block column-major
-    grid = [[unit, zeros, zeros], [zeros, unit, zeros], [zeros, zeros, unit]]
-    for name, (br, bc) in BLOCKS.items():
-        grid[bc][br] = blocks[name]
-    cols = [top[j] + mid[j] + low[j] for top, mid, low in grid for j in range(d)]
+    cols = [u + zero + zero for u in unit]
+    cols += [col + zero for col in mid]
+    cols += [col + u for col, u in zip(right, unit)]
     return SeqMatrix(pattern, IntMatrix(zip(*cols)))
 
 
 def seq_matrix_direct(pattern: GapPattern, w: str) -> SeqMatrix:
-    """Matrix built cell by cell from anchored-piece counts.
+    """Matrix built cell by cell from anchored-piece counts, one block
+    column at a time.
 
     Every cell is counted on its own by `count_piece`, with no value taken
     from another cell; the calls share one start list per distinct run of
@@ -129,16 +128,18 @@ def seq_matrix_direct(pattern: GapPattern, w: str) -> SeqMatrix:
     """
     d = block_dim(pattern)
     starts = cache(factor_starts)
+
+    def column(upper: str, lower: str, j: int) -> list[int]:
+        return [
+            count_piece(w, block_piece(pattern, name, i, j), starts) if i <= j else 0
+            for name in (upper, lower)
+            for i in range(1, d + 1)
+        ]
+
     return _assemble(
         pattern,
-        {
-            name: [
-                [count_piece(w, block_piece(pattern, name, i, j), starts) if i <= j else 0
-                 for i in range(1, d + 1)]
-                for j in range(1, d + 1)
-            ]
-            for name in BLOCKS
-        },
+        [column("E", "C", j) for j in range(1, d + 1)],
+        [column("F", "S", j) for j in range(1, d + 1)],
     )
 
 
@@ -173,7 +174,8 @@ class SeqFold(PackedFold):
     exactly as E and C do, and E and C change together, a push is one int
     operation per column: a right column adds its middle column, a stepped
     middle column adds column j-1 (and the unit bit of E's row j), and a
-    cleared column is set to 0.  result() unpacks the limbs.
+    cleared column is set to 0.  result() unpacks the limbs and hands the
+    middle and right columns, in this layout, to _assemble.
 
     No limb carries into the next.  Let f = len(pattern.factors) and
     n >= 1 the letters pushed.  An entry counts the occurrences of a
@@ -218,16 +220,7 @@ class SeqFold(PackedFold):
     def result(self) -> SeqMatrix:
         d = self._d
         cols = self._unpacked()
-        mid, right = cols[1 : d + 1], cols[d + 1 :]
-        return _assemble(
-            self.pattern,
-            {
-                "E": [col[:d] for col in mid],
-                "F": [col[:d] for col in right],
-                "C": [col[d:] for col in mid],
-                "S": [col[d:] for col in right],
-            },
-        )
+        return _assemble(self.pattern, cols[1 : d + 1], cols[d + 1 :])
 
 
 def seq_matrix(pattern: GapPattern, letters: Union[str, Iterable[str]]) -> SeqMatrix:

@@ -3,9 +3,11 @@
 The counters enumerate occurrence tuples literally (feasible up to |w| ~ 12),
 independent of the tabulated counters in the package.  The dense product
 forms all n^3 products, the oracle for `IntMatrix.__mul__`, which skips
-zeros.  The small accessors after them (matrix cell diff, symbol index,
-pattern letter, induced Parikh context, the forms of a fold's cached steps)
-serve only test code.  The generalized subword history helpers at
+zeros.  The witness fold renders factor indices as letters and folds their
+Parikh matrix, the oracle for `parikhseq.minors.witness_parikh_matrix`,
+which counts on the indices directly.  The small accessors after them
+(matrix cell diff, symbol index, pattern letter, induced Parikh context,
+the forms of a fold's cached steps) serve only test code.  The generalized subword history helpers at
 the end are the ground shuffle, the interleaving test, the junction
 reduction by enumeration of joint placements, the oracle for
 `parikhseq.gsh.red`, the merge-scheme enumeration built on it, the oracle for
@@ -16,6 +18,7 @@ evaluation, the oracle for `parikhseq.gsh.first_difference`.
 
 from itertools import combinations
 from operator import mul
+from string import ascii_lowercase
 from typing import Iterator
 
 from parikhseq.gsh import (
@@ -27,7 +30,7 @@ from parikhseq.gsh import (
 )
 from parikhseq.intmat import IntMatrix
 from parikhseq.packed import PackedFold
-from parikhseq.parikh import ParikhContext
+from parikhseq.parikh import ParikhContext, parikh_matrix
 from parikhseq.words import Alphabet, GapPattern, PatternError
 
 
@@ -111,6 +114,14 @@ def dense_product(a: IntMatrix, b: IntMatrix) -> IntMatrix:
         raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
     cols = list(zip(*b.rows))
     return IntMatrix([[sum(map(mul, row, col)) for col in cols] for row in a.rows])
+
+
+def witness_parikh_fold(witness: tuple[int, ...], x: int) -> IntMatrix:
+    """Classic Parikh matrix of the witness by the fold, factor index i
+    rendered as the i-th lowercase letter (x <= 26)."""
+    alphabet = Alphabet(tuple(ascii_lowercase[:x]))
+    word = "".join(ascii_lowercase[i - 1] for i in witness)
+    return parikh_matrix(ParikhContext.classic(alphabet), word)
 
 
 def matrix_diff(a: IntMatrix, b: IntMatrix) -> list[tuple[int, int, int, int]]:

@@ -437,6 +437,15 @@ class TestGsh:
         assert code == 2 and out == ""
         assert f"cap of {gsh.MAX_LINEAR_TERMS} terms" in err
 
+    def test_zero_coefficient_product(self, capsys):
+        # unscaled, the product exceeds the term cap (exit 2)
+        text = "0(ab.ab.ab.ab.ab.ab*ba.ba.ba.ba.ba.ba)"
+        code, out, _ = run_cli(capsys, "gsh", "linearize", text)
+        assert code == 0 and out == "0\n"
+        code, out, _ = run_cli(capsys, "gsh", "equiv", text, "#e - #e")
+        assert code == 0
+        assert out.splitlines() == ["canonical: true", "bounded (maxlen=6): true"]
+
     def test_equiv_over_letter_cap_is_usage_error(self, capsys):
         start = time.perf_counter()
         code, out, err = run_cli(

@@ -13,6 +13,7 @@ from parikhseq.counting import (
     count_piece,
     count_subword,
     factor_starts,
+    subword_prefix_counts,
 )
 from parikhseq.words import GapPattern, Piece
 
@@ -51,6 +52,17 @@ class TestCountSubword:
     )
     def test_repeated_and_missing_letters(self, w, u):
         assert count_subword(w, u) == enum_subword(w, u)
+
+
+class TestSubwordPrefixCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(w=st.text("abc", max_size=12), u=st.text("abcd", max_size=6))
+    def test_prefix_j_counts_u_up_to_j(self, w, u):
+        counts = subword_prefix_counts(w, u)
+        assert counts == [count_subword(w, u[:j]) for j in range(len(u) + 1)]
+        assert counts[-1] == enum_subword(w, u)
+        # any sequences of hashables: the same counts on tuples of ints
+        assert subword_prefix_counts(tuple(map(ord, w)), tuple(map(ord, u))) == counts
 
 
 class TestCountFactor:

@@ -494,6 +494,15 @@ class TestLinearize:
         monkeypatch.setattr(gsh, "MAX_LINEAR_TERMS", 10)
         assert linearize(parse_expr(text)) == LinearForm()
 
+    def test_zero_coefficient_product_is_not_distributed(self):
+        # the product alone is over the term cap; scaled by 0 it is the zero form
+        product = "ab.ab.ab.ab.ab.ab*ba.ba.ba.ba.ba.ba"
+        with pytest.raises(ValueError, match="cap of"):
+            linearize(parse_expr(product))
+        zero = parse_expr(f"0({product})")
+        assert linearize(zero) == LinearForm()
+        assert equivalent(zero, parse_expr("#e - #e"))
+
     def test_flat_sum_in_linear_time(self):
         # 10 000 distinct one-factor monomials; words_up_to starts with ''
         words = islice(words_up_to(AB, 13), 1, 10_001)

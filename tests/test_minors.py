@@ -4,7 +4,10 @@ import time
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import witness_parikh_fold
 from parikhseq.intmat import IntMatrix
 from parikhseq.minors import (
     check_minor_nonneg,
@@ -165,6 +168,23 @@ class TestWitnessWord:
         witness = witness_word(GapPattern.parse("a.b"), w)
         assert time.perf_counter() - start < 1.0
         assert len(witness) == 4000
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10).flatmap(
+        lambda x: st.tuples(st.lists(st.integers(1, x), max_size=40).map(tuple), st.just(x))
+    ))
+    def test_matrix_equals_fold_of_rendered_witness(self, case):
+        witness, x = case
+        assert witness_parikh_matrix(witness, x) == witness_parikh_fold(witness, x)
+
+    def test_sixty_four_factors(self):
+        # past any one-character rendering of the 64 factor indices
+        q = GapPattern.parse(".".join("ab" * 32))
+        w = seeded_word(6, "ab", 100)
+        witness, minor, ok = verify_witness(q, w)
+        assert ok and minor.dim == 65
+        assert len(witness) == 32 * len(w)
+        assert witness_parikh_matrix(witness, 64) == minor
 
     def test_witness_text_uses_commas_for_wide_patterns(self):
         assert witness_text((10, 2), 10) == "a10,a2"
