@@ -6,9 +6,9 @@ arbitrarily large counts.  Conventions: the empty subword/factor/piece counts
 1 occurrence in any word; a both-anchored empty piece counts 1 only in the
 empty word.
 
-`count_piece` and `count_gapped` take the start lists of their runs from a
-`starts(w, run)` function, `factor_starts` by default.  A caller that
-counts many pieces or patterns of one word can pass
+`count_piece` and `gapped_prefix_counts` take the start lists of their runs
+from a `starts(w, run)` function, `factor_starts` by default.  A caller
+that counts many pieces or patterns of one word can pass
 `functools.cache(factor_starts)` so each distinct run is scanned once; the
 caller owns that memo and decides how long it lives.
 Anchored ends are checked in place (`startswith`/`endswith` and one cut in
@@ -17,8 +17,9 @@ the last start list), never by scanning for the anchored run.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Callable, Hashable, Sequence
+from bisect import bisect_left, bisect_right
+from itertools import repeat
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .words import GapPattern, Piece
 
@@ -70,6 +71,36 @@ def count_factor(w: str, u: str) -> int:
     return len(factor_starts(w, u))
 
 
+def _chain(runs: Sequence[str], positions: Iterable[list[int]]) -> list[int]:
+    """Running totals of placements of the runs in order, gap >= 0 between
+    consecutive runs: entry k counts placements of runs[:k], entry 0 is 1.
+    positions yields the ascending 1-based start list of each run in turn;
+    none is taken after a total reaches 0, when the rest are 0 too."""
+    totals = [1]
+    # a sentinel run of length 1 at position 0 lets the first run start anywhere
+    prev_starts, prev_ways, min_gap = (0,), (1,), 1
+    for run, found in zip(runs, positions):
+        # ways[i] = placements of the runs so far with this run at found[i].
+        # The starts from `stop` on follow every previous placement, so each
+        # sees the previous total, and the scan before them never runs past
+        # the last previous start (for the sentinel, stop is 0)
+        stop = bisect_left(found, prev_starts[-1] + min_gap)
+        ways = []
+        acc = 0
+        idx = 0
+        for p in found[:stop]:
+            while prev_starts[idx] + min_gap <= p:
+                acc += prev_ways[idx]
+                idx += 1
+            ways.append(acc)
+        ways += [totals[-1]] * (len(found) - stop)
+        totals.append(sum(ways))
+        if not totals[-1]:
+            return totals + [0] * (len(runs) + 1 - len(totals))
+        prev_starts, prev_ways, min_gap = found, ways, len(run)
+    return totals
+
+
 def _count_runs(
     w: str,
     runs: tuple[str, ...],
@@ -97,32 +128,25 @@ def _count_runs(
         positions.append(found)
     if right_anchored:
         positions[-1] = positions[-1][: bisect_right(positions[-1], cut)]
-    ways = [1] * len(positions[0])
-    for k in range(1, len(runs)):
-        prev_starts = positions[k - 1]
-        prev_ways = ways
-        min_gap = len(runs[k - 1])
-        ways = []
-        acc = 0
-        idx = 0
-        end = len(prev_starts)
-        for p in positions[k]:
-            while idx < end and prev_starts[idx] + min_gap <= p:
-                acc += prev_ways[idx]
-                idx += 1
-            ways.append(acc)
-    return sum(ways)
+    return _chain(runs, positions)[-1]
 
 
-def count_gapped(
+def gapped_prefix_counts(
     w: str,
-    pattern: GapPattern,
+    factors: Sequence[str],
     starts: Callable[[str, str], list[int]] = factor_starts,
-) -> int:
+) -> list[int]:
+    """Occurrences of factors[:j] in w as a gap pattern, for j = 0 ..
+    len(factors): the gapped twin of subword_prefix_counts, one chain pass
+    for all prefixes.  `starts` is as in `count_piece`."""
+    return _chain(factors, map(starts, repeat(w), factors))
+
+
+def count_gapped(w: str, pattern: GapPattern) -> int:
     """Occurrences of the gap pattern in w: factors matched contiguously,
-    consecutive factors separated by a gap of length >= 0.  `starts` is as
-    in `count_piece`."""
-    return _count_runs(w, pattern.factors, False, False, starts)
+    consecutive factors separated by a gap of length >= 0.  The last of
+    gapped_prefix_counts(w, pattern.factors)."""
+    return gapped_prefix_counts(w, pattern.factors)[-1]
 
 
 def count_piece(

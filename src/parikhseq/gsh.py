@@ -25,7 +25,7 @@ from math import prod
 from operator import mul
 from typing import Callable, Iterator, Union
 
-from .counting import _count_runs, factor_starts
+from .counting import gapped_prefix_counts
 from .words import Alphabet, GapPattern, PatternError, check_symbols
 
 Monomial = tuple[str, ...]
@@ -119,7 +119,7 @@ class Scale(Expr):
 
 
 def mono(*factors: str) -> Mono:
-    return Mono(canonical_mono(factors))
+    return Mono(factors)
 
 
 EPSILON = Mono(())
@@ -193,12 +193,13 @@ class LinearForm:
 
 
 def _mono_value(m: Monomial, w: str) -> int:
-    if not m:
-        return 1
     # what GapPattern(m) checks of a canonical monomial, and count_gapped's
     # count, without building a pattern for every monomial on every word
     check_symbols("".join(m), "pattern contains invalid symbol {!r} (allowed: [a-zA-Z0-9])")
-    return _count_runs(w, m, False, False, factor_starts)
+    # a monomial longer than w has no occurrence, known without scanning w
+    if sum(map(len, m)) > len(w):
+        return 0
+    return gapped_prefix_counts(w, m)[-1]
 
 
 def _value(e: Union[Expr, LinearForm], w: str) -> int:
@@ -435,13 +436,13 @@ def equivalent_bounded(
             f"{k}-letter alphabet) exceeds the cap of {MAX_BOUNDED_WORDS}"
         )
     # the word cap alone lets one letter reach maxlen ~10**6, ~5 * 10**11
-    # letters; with k >= 2 it forces maxlen < 20, so the sum stays short
-    if k == 1:
-        letters = max_len * (max_len + 1) // 2
-    else:
-        letters = sum(n * k**n for n in range(max_len + 1))
+    # letters.  With k >= 2 letters, 2**(maxlen+1) - 1 <= words <= cap < 2**B
+    # for B = MAX_BOUNDED_WORDS.bit_length(), so maxlen < B and the letters,
+    # at most maxlen * words, stay under B * cap.  Only one letter can pass
+    # it, with 0 + 1 + ... + maxlen letters in its words
     letter_cap = MAX_BOUNDED_WORDS * MAX_BOUNDED_WORDS.bit_length()
-    if letters > letter_cap:
+    letters = max_len * (max_len + 1) // 2
+    if k == 1 and letters > letter_cap:
         raise ValueError(
             f"bounded check over {letters} letters (length <= {max_len}, "
             f"{k}-letter alphabet) exceeds the cap of {letter_cap}"

@@ -11,7 +11,7 @@ elimination (exact, O(n^3), no rational intermediates).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 
 class IntMatrix:
@@ -34,17 +34,8 @@ class IntMatrix:
         raise AttributeError("IntMatrix is immutable")
 
     @classmethod
-    def unit_upper(cls, dim: int, above: Callable[[int, int], int]) -> IntMatrix:
-        """Unit upper-triangular matrix with above(i, j) at each 1-based
-        entry (i, j), i < j."""
-        return cls(
-            [[above(i, j) if i < j else int(i == j) for j in range(1, dim + 1)]
-             for i in range(1, dim + 1)]
-        )
-
-    @classmethod
     def identity(cls, dim: int) -> IntMatrix:
-        return cls.unit_upper(dim, lambda i, j: 0)
+        return cls([[int(i == j) for j in range(dim)] for i in range(dim)])
 
     def entry(self, i: int, j: int) -> int:
         """Entry at 1-based (row, column)."""

@@ -16,7 +16,7 @@ from functools import cache
 from itertools import combinations
 from math import inf
 
-from .counting import count_gapped, factor_starts
+from .counting import factor_starts, gapped_prefix_counts
 from .intmat import IntMatrix
 from .parikh import subword_matrix
 from .seqmat import SeqMatrix
@@ -36,14 +36,15 @@ def minor_index_set(pattern: GapPattern) -> tuple[int, ...]:
 
 
 def special_minor(pattern: GapPattern, w: str) -> IntMatrix:
-    """Direct construction from gapped-subsequence counts.  The cells share
-    one start list per distinct factor of w, memoized for this call and
-    dropped when it returns."""
+    """Direct construction from gapped-subsequence counts, built like
+    parikh.subword_matrix: row i is i zeros, then the counts of the prefixes
+    of factors[i:] as gap patterns in w, so each row is one
+    gapped_prefix_counts pass.  The rows share one start list per distinct
+    factor of w, memoized for this call and dropped when it returns."""
+    factors = pattern.factors
     starts = cache(factor_starts)
-    return IntMatrix.unit_upper(
-        len(pattern.factors) + 1,
-        lambda i, j: count_gapped(w, pattern.factor_slice(i, j - 1), starts),
-    )
+    rows = range(len(factors) + 1)
+    return IntMatrix([[0] * i + gapped_prefix_counts(w, factors[i:], starts) for i in rows])
 
 
 def special_minor_from_matrix(sm: SeqMatrix) -> IntMatrix:

@@ -13,6 +13,7 @@ from parikhseq.counting import (
     count_piece,
     count_subword,
     factor_starts,
+    gapped_prefix_counts,
     subword_prefix_counts,
 )
 from parikhseq.words import GapPattern, Piece
@@ -122,13 +123,22 @@ class TestCountGapped:
 
     def test_matches_enumeration(self):
         rng = random.Random(4)
+        cases = [("abab", ()), ("", ()), ("abab", ("ab", "c", "a")), ("abab", ("ba", "ab"))]
         for _ in range(300):
             w = "".join(rng.choice("ab") for _ in range(rng.randint(0, 12)))
+            # c never occurs in w: the prefix counts are 0 from its factor on
             factors = tuple(
-                "".join(rng.choice("ab") for _ in range(rng.randint(1, 3)))
-                for _ in range(rng.randint(1, 3))
+                "".join(rng.choice("ababc") for _ in range(rng.randint(1, 3)))
+                for _ in range(rng.randint(0, 3))
             )
-            assert count_gapped(w, GapPattern(factors)) == enum_gapped(w, factors)
+            cases.append((w, factors))
+        for w, factors in cases:
+            counts = gapped_prefix_counts(w, factors)
+            assert counts == [enum_gapped(w, factors[:j]) for j in range(len(factors) + 1)]
+            if factors:
+                assert count_gapped(w, GapPattern(factors)) == counts[-1]
+        assert gapped_prefix_counts("abab", ()) == [1]
+        assert gapped_prefix_counts("abab", ("ab", "c", "a")) == [1, 2, 0, 0]
 
 
 class TestCountPiece:
@@ -264,8 +274,7 @@ class TestSharedStarts:
         w = "".join(data.draw(st.lists(letters, max_size=14)))
         starts = cache(factor_starts)
         for runs in patterns:
-            pattern = GapPattern(tuple(runs))
-            assert count_gapped(w, pattern, starts) == count_gapped(w, pattern)
+            assert gapped_prefix_counts(w, runs, starts) == gapped_prefix_counts(w, runs)
 
     def test_starts_lists_are_not_mutated(self):
         lists = {}

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import witness_parikh_fold
+from parikhseq.counting import count_gapped
 from parikhseq.intmat import IntMatrix
 from parikhseq.minors import (
     check_minor_nonneg,
@@ -19,7 +20,7 @@ from parikhseq.minors import (
     witness_text,
     witness_word,
 )
-from parikhseq.parikh import ParikhContext, parikh_matrix
+from parikhseq.parikh import ParikhContext, parikh_matrix, parikh_matrix_direct
 from parikhseq.seqmat import seq_matrix
 from parikhseq.words import Alphabet, GapPattern
 
@@ -59,6 +60,36 @@ class TestSpecialMinor:
         assert special_minor(q, "ab") == expected
         ctx = ParikhContext.classic(Alphabet.parse("ab"))
         assert expected == parikh_matrix(ctx, "ab")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_rows_equal_cell_by_cell_counts(self, data):
+        # factors drawn from a small pool repeat, and those with c never
+        # occur in the word over ab
+        run = st.lists(st.sampled_from("abc"), min_size=1, max_size=3).map("".join)
+        pool = data.draw(st.lists(run, min_size=1, max_size=4))
+        q = GapPattern(tuple(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))))
+        w = "".join(data.draw(st.lists(st.sampled_from("ab"), max_size=14)))
+        n = len(q.factors) + 1
+        expected = IntMatrix([
+            [count_gapped(w, q.factor_slice(i, j - 1)) if i < j else int(i == j)
+             for j in range(1, n + 1)]
+            for i in range(1, n + 1)
+        ])
+        assert special_minor(q, w) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_one_letter_factors_give_the_induced_parikh_matrix(self, data):
+        # with one-letter factors v_1 . ... . v_k a gap pattern is a scattered
+        # subword, so the minor is the Parikh matrix of w induced by v; the
+        # two sides come from independent DPs
+        alphabet = data.draw(st.sampled_from(["ab", "abc"]))
+        letters = st.sampled_from(alphabet)
+        v = "".join(data.draw(st.lists(letters, min_size=1, max_size=8)))
+        w = "".join(data.draw(st.lists(letters, max_size=14)))
+        ctx = ParikhContext(Alphabet.parse(alphabet), v)
+        assert special_minor(GapPattern(tuple(v)), w) == parikh_matrix_direct(ctx, w)
 
     def test_index_set(self):
         assert minor_index_set(A_ABA_A) == (1, 5, 8, 12)
