@@ -11,6 +11,13 @@ from a `starts(w, run)` function, `factor_starts` by default.  A caller
 that counts many pieces or patterns of one word can pass
 `functools.cache(factor_starts)` so each distinct run is scanned once; the
 caller owns that memo and decides how long it lives.
+
+Every gapped count goes through one merge step, `_step`, which places one
+more run after the placements of the runs before it.  `_chain` repeats it
+over whole patterns for `count_piece`, `count_gapped` and
+`gapped_prefix_counts`; `fragment_counts` runs it once per end along one
+pattern, for `seqmat.seq_matrix_direct`, and takes its start lists from a
+memo dict that the caller owns instead of a `starts` function.
 Anchored ends are checked in place (`startswith`/`endswith` and one cut in
 the last start list), never by scanning for the anchored run.
 """
@@ -19,7 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import repeat
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Container, Hashable, Iterable, Sequence
 
 from .words import GapPattern, Piece
 
@@ -71,6 +78,33 @@ def count_factor(w: str, u: str) -> int:
     return len(factor_starts(w, u))
 
 
+def _step(
+    found: list[int],
+    prev_starts: Sequence[int],
+    prev_ways: Sequence[int],
+    min_gap: int,
+    prev_total: int,
+) -> list[int]:
+    """One merge of the chain DP: ways[i] counts the placements of the
+    runs so far followed by a run at found[i], given the placements
+    prev_ways of the runs before it at prev_starts (total prev_total),
+    min_gap the length of the last of those runs."""
+    # The starts from `stop` on follow every previous placement, so each
+    # sees the previous total, and the scan before them never runs past
+    # the last previous start (for the sentinel, stop is 0)
+    stop = bisect_left(found, prev_starts[-1] + min_gap)
+    ways = []
+    acc = 0
+    idx = 0
+    for p in found[:stop]:
+        while prev_starts[idx] + min_gap <= p:
+            acc += prev_ways[idx]
+            idx += 1
+        ways.append(acc)
+    ways += [prev_total] * (len(found) - stop)
+    return ways
+
+
 def _chain(runs: Sequence[str], positions: Iterable[list[int]]) -> list[int]:
     """Running totals of placements of the runs in order, gap >= 0 between
     consecutive runs: entry k counts placements of runs[:k], entry 0 is 1.
@@ -80,20 +114,7 @@ def _chain(runs: Sequence[str], positions: Iterable[list[int]]) -> list[int]:
     # a sentinel run of length 1 at position 0 lets the first run start anywhere
     prev_starts, prev_ways, min_gap = (0,), (1,), 1
     for run, found in zip(runs, positions):
-        # ways[i] = placements of the runs so far with this run at found[i].
-        # The starts from `stop` on follow every previous placement, so each
-        # sees the previous total, and the scan before them never runs past
-        # the last previous start (for the sentinel, stop is 0)
-        stop = bisect_left(found, prev_starts[-1] + min_gap)
-        ways = []
-        acc = 0
-        idx = 0
-        for p in found[:stop]:
-            while prev_starts[idx] + min_gap <= p:
-                acc += prev_ways[idx]
-                idx += 1
-            ways.append(acc)
-        ways += [totals[-1]] * (len(found) - stop)
+        ways = _step(found, prev_starts, prev_ways, min_gap, totals[-1])
         totals.append(sum(ways))
         if not totals[-1]:
             return totals + [0] * (len(runs) + 1 - len(totals))
@@ -147,6 +168,73 @@ def count_gapped(w: str, pattern: GapPattern) -> int:
     consecutive factors separated by a gap of length >= 0.  The last of
     gapped_prefix_counts(w, pattern.factors)."""
     return gapped_prefix_counts(w, pattern.factors)[-1]
+
+
+def fragment_counts(
+    w: str,
+    flat: str,
+    cuts: Container[int],
+    start: int,
+    anchored: bool,
+    memo: dict[str, list[int]],
+) -> tuple[list[int], list[int]]:
+    """Occurrences in w of the fragments [start, e] of a flat pattern, cut
+    into runs after each position in cuts, for e = start .. len(flat), in
+    one walk.  Entry e - start of the first list counts the fragment with a
+    free end; of the second, with its end anchored to the end of w unless e
+    is in cuts.  The first run is anchored to the start of w iff anchored.
+
+    The walk keeps the placements of the full runs before the current one,
+    from _chain's sentinel.  Each end makes one _step of the current
+    partial run against them; its sum is the free-end count.  The
+    end-anchored count pins the run to the end of w: the sum of the
+    placements whose last run starts at most len(w) - len(run) + 1 - gap,
+    found by one cut.  At an end in cuts the run is full and its
+    placements become the state.  Once a count is 0 the rest are 0 too.
+
+    memo maps a run to its start list and may be shared by walks over the
+    same w: a one-letter run is scanned, a longer one filters the list of
+    its prefix one letter shorter, which the walk visited at the end before.
+    """
+    n = len(w)
+    free: list[int] = []
+    ends: list[int] = []
+    starts, ways, gap, total = (0,), (1,), 1, 1
+    seg = start  # where the current run begins
+    for e in range(start, len(flat) + 1):
+        run = flat[seg - 1 : e]
+        first = anchored and seg == start
+        if first:
+            found = [1] if w.startswith(run) else []
+        else:
+            found = memo.get(run)
+            if found is None:
+                if e == seg:
+                    found = factor_starts(w, run)
+                else:
+                    # a start of run[:-1] that leaves room for one more letter
+                    prefix = memo[run[:-1]]
+                    prefix = prefix[: bisect_right(prefix, n - len(run) + 1)]
+                    last, at = run[-1], len(run) - 2
+                    found = [p for p in prefix if w[p + at] == last]
+                memo[run] = found
+        step = _step(found, starts, ways, gap, total)
+        count = sum(step)
+        if not count:
+            break
+        free.append(count)
+        if e in cuts:
+            ends.append(count)
+            starts, ways, gap, total = found, step, len(run), count
+            seg = e + 1
+        elif not w.endswith(run):
+            ends.append(0)
+        elif first:
+            ends.append(int(n == len(run)))
+        else:
+            ends.append(sum(ways[: bisect_right(starts, n - len(run) + 1 - gap)]))
+    rest = [0] * (len(flat) + 1 - start - len(free))
+    return free + rest, ends + rest
 
 
 def count_piece(

@@ -33,10 +33,6 @@ class IntMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
-    @classmethod
-    def identity(cls, dim: int) -> IntMatrix:
-        return cls([[int(i == j) for j in range(dim)] for i in range(dim)])
-
     def entry(self, i: int, j: int) -> int:
         """Entry at 1-based (row, column)."""
         if not (1 <= i <= self.dim and 1 <= j <= self.dim):

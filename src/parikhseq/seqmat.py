@@ -24,13 +24,12 @@ of the matrices, which the streaming fold exploits letter by letter.
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Iterable, Union
 
-from .counting import count_piece, factor_starts
+from .counting import fragment_counts
 from .intmat import IntMatrix
 from .packed import PackedFold, Plan
-from .words import GapPattern, PatternError, Piece, check_letter
+from .words import GapPattern, PatternError, check_letter
 
 # (block row, block column) of each named block in [[I,E,F],[0,C,S],[0,0,I]]
 BLOCKS = {"E": (0, 1), "F": (0, 2), "C": (1, 1), "S": (1, 2)}
@@ -45,18 +44,6 @@ def block_dim(pattern: GapPattern) -> int:
             "the matrix mapping needs flat length >= 2"
         )
     return d
-
-
-def block_piece(pattern: GapPattern, name: str, i: int, j: int) -> Piece:
-    """Piece counted by cell (i, j) of a named block, 1 <= i <= j <= d.
-
-    One rule covers all four blocks: the fragment runs from flat position i
-    (i+1 in the middle block row, start-anchored unless i is in B) to j+1
-    (j in the middle block column, end-anchored unless j is in B).
-    """
-    r, c = BLOCKS[name]
-    b = pattern.boundaries
-    return pattern.piece(i + r, j + c - 1, r == 1 and i not in b, c == 1 and j not in b)
 
 
 class SeqMatrix:
@@ -119,28 +106,33 @@ def _assemble(pattern: GapPattern, mid: list[list[int]], right: list[list[int]])
 
 
 def seq_matrix_direct(pattern: GapPattern, w: str) -> SeqMatrix:
-    """Matrix built cell by cell from anchored-piece counts, one block
-    column at a time.
+    """Matrix built one row at a time from anchored-fragment counts.
 
-    Every cell is counted on its own by `count_piece`, with no value taken
-    from another cell; the calls share one start list per distinct run of
-    w, memoized for this call and dropped when it returns.
+    Row i of E and F counts the fragments [i, e] with a free start; row i
+    of C and S counts the fragments [i+1, e], start-anchored unless i is in
+    B.  Each of these 2d row groups is one `fragment_counts` walk along the
+    flat pattern, which fills the whole row from shared chain state: F and
+    S take the free-end count at e = j+1, and E and C the count at e = j,
+    end-anchored unless j is in B (the C diagonal is 1 on B and [w is empty]
+    elsewhere).  An end-anchored count sums the placements of the earlier
+    runs whose last run starts at most len(w) - len(run) + 1 - gap, found
+    by one cut of their start list.  No value is taken from another row,
+    and no product rule or fold is used; the walks share one start list
+    per distinct run of w, kept for this call and dropped when it returns.
     """
     d = block_dim(pattern)
-    starts = cache(factor_starts)
-
-    def column(upper: str, lower: str, j: int) -> list[int]:
-        return [
-            count_piece(w, block_piece(pattern, name, i, j), starts) if i <= j else 0
-            for name in (upper, lower)
-            for i in range(1, d + 1)
-        ]
-
-    return _assemble(
-        pattern,
-        [column("E", "C", j) for j in range(1, d + 1)],
-        [column("F", "S", j) for j in range(1, d + 1)],
-    )
+    flat, b = pattern.flat, pattern.boundaries
+    memo: dict[str, list[int]] = {}
+    upper, lower = [], []  # row i of E then F, and of C then S
+    for i in range(1, d + 1):
+        zero = [0] * (i - 1)
+        free, ends = fragment_counts(w, flat, b, i, False, memo)
+        upper.append(zero + ends[: d + 1 - i] + zero + free[1:])
+        free, ends = fragment_counts(w, flat, b, i + 1, i not in b, memo)
+        diag = 1 if i in b else int(not w)
+        lower.append(zero + [diag] + ends[: d - i] + zero + free)
+    cols = [list(col) for col in zip(*upper, *lower)]
+    return _assemble(pattern, cols[:d], cols[d:])
 
 
 def seq_matrix_letter(pattern: GapPattern, letter: str) -> IntMatrix:

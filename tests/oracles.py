@@ -3,11 +3,14 @@
 The counters enumerate occurrence tuples literally (feasible up to |w| ~ 12),
 independent of the tabulated counters in the package.  The dense product
 forms all n^3 products, the oracle for `IntMatrix.__mul__`, which skips
-zeros.  The witness fold renders factor indices as letters and folds their
-Parikh matrix, the oracle for `parikhseq.minors.witness_parikh_matrix`,
-which counts on the indices directly.  The small accessors after them
-(matrix cell diff, symbol index, pattern letter, induced Parikh context,
-the forms of a fold's cached steps) serve only test code.  The generalized subword history helpers at
+zeros.  The cell-by-cell sequence matrix counts every cell as its own
+anchored piece, the oracle for `parikhseq.seqmat.seq_matrix_direct`, which
+fills each row from one walk.  The witness fold renders factor indices as
+letters and folds their Parikh matrix, the oracle for
+`parikhseq.minors.witness_parikh_matrix`, which counts on the indices
+directly.  The small accessors after them (identity matrix, matrix cell
+diff, symbol index, pattern letter, induced Parikh context, the forms of a
+fold's cached steps) serve only test code.  The generalized subword history helpers at
 the end are the ground shuffle, the interleaving test, the junction
 reduction by enumeration of joint placements, the oracle for
 `parikhseq.gsh.red`, the merge-scheme enumeration built on it, the oracle for
@@ -16,11 +19,13 @@ undercount and are kept only for comparison with it, and word-by-word bounded
 evaluation, the oracle for `parikhseq.gsh.first_difference`.
 """
 
+from functools import cache
 from itertools import combinations
 from operator import mul
 from string import ascii_lowercase
 from typing import Iterator
 
+from parikhseq.counting import count_piece, factor_starts
 from parikhseq.gsh import (
     LinearForm,
     Monomial,
@@ -31,7 +36,8 @@ from parikhseq.gsh import (
 from parikhseq.intmat import IntMatrix
 from parikhseq.packed import PackedFold
 from parikhseq.parikh import ParikhContext, parikh_matrix
-from parikhseq.words import Alphabet, GapPattern, PatternError
+from parikhseq.seqmat import BLOCKS, SeqMatrix, _assemble, block_dim
+from parikhseq.words import Alphabet, GapPattern, PatternError, Piece
 
 
 def enum_subword(w: str, u: str) -> int:
@@ -116,12 +122,51 @@ def dense_product(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return IntMatrix([[sum(map(mul, row, col)) for col in cols] for row in a.rows])
 
 
+def block_piece(pattern: GapPattern, name: str, i: int, j: int) -> Piece:
+    """Piece counted by cell (i, j) of a named block, 1 <= i <= j <= d.
+
+    One rule covers all four blocks: the fragment runs from flat position i
+    (i+1 in the middle block row, start-anchored unless i is in B) to j+1
+    (j in the middle block column, end-anchored unless j is in B).
+    """
+    r, c = BLOCKS[name]
+    b = pattern.boundaries
+    return pattern.piece(i + r, j + c - 1, r == 1 and i not in b, c == 1 and j not in b)
+
+
+def seq_matrix_cells(pattern: GapPattern, w: str) -> SeqMatrix:
+    """Sequence matrix built cell by cell, one block column at a time: every
+    cell is counted on its own by `count_piece`, with no value taken from
+    another cell, the oracle for `parikhseq.seqmat.seq_matrix_direct`,
+    which fills a row from one walk."""
+    d = block_dim(pattern)
+    starts = cache(factor_starts)
+
+    def column(upper: str, lower: str, j: int) -> list[int]:
+        return [
+            count_piece(w, block_piece(pattern, name, i, j), starts) if i <= j else 0
+            for name in (upper, lower)
+            for i in range(1, d + 1)
+        ]
+
+    return _assemble(
+        pattern,
+        [column("E", "C", j) for j in range(1, d + 1)],
+        [column("F", "S", j) for j in range(1, d + 1)],
+    )
+
+
 def witness_parikh_fold(witness: tuple[int, ...], x: int) -> IntMatrix:
     """Classic Parikh matrix of the witness by the fold, factor index i
     rendered as the i-th lowercase letter (x <= 26)."""
     alphabet = Alphabet(tuple(ascii_lowercase[:x]))
     word = "".join(ascii_lowercase[i - 1] for i in witness)
     return parikh_matrix(ParikhContext.classic(alphabet), word)
+
+
+def identity(n: int) -> IntMatrix:
+    """The n x n identity matrix."""
+    return IntMatrix([[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def matrix_diff(a: IntMatrix, b: IntMatrix) -> list[tuple[int, int, int, int]]:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import identity
 from parikhseq import cli, gsh
 from parikhseq.intmat import IntMatrix
 from parikhseq.parikh import ParikhFold
@@ -219,7 +220,7 @@ class TestMatrix:
 
     def test_parikh_fold_direct_mismatch_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            cli, "parikh_matrix_direct", lambda ctx, w: IntMatrix.identity(ctx.dim)
+            cli, "parikh_matrix_direct", lambda ctx, w: identity(ctx.dim)
         )
         code, _, err = run_cli(
             capsys, "matrix", "classic", "--alphabet", "abc", "abcb"

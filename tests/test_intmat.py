@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_product, det_cofactor, matrix_diff
+from oracles import dense_product, det_cofactor, identity, matrix_diff
 from parikhseq.intmat import IntMatrix
 from parikhseq.seqmat import seq_matrix, seq_matrix_direct
 from parikhseq.words import GapPattern
@@ -31,8 +31,8 @@ class TestMultiply:
     def test_identity(self):
         rng = random.Random(10)
         a = random_matrix(rng, 5)
-        assert a * IntMatrix.identity(5) == a
-        assert IntMatrix.identity(5) * a == a
+        assert a * identity(5) == a
+        assert identity(5) * a == a
 
     def test_associative(self):
         rng = random.Random(11)
@@ -43,7 +43,7 @@ class TestMultiply:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            IntMatrix.identity(2) * IntMatrix.identity(3)
+            identity(2) * identity(3)
 
     def test_triangular_closure(self):
         rng = random.Random(12)
@@ -72,7 +72,7 @@ def sparse_matrices(draw, dim: int) -> IntMatrix:
     """The identity, the zero matrix, or at most half the cells nonzero."""
     kind = draw(st.sampled_from(["identity", "zero", "sparse"]))
     if kind == "identity":
-        return IntMatrix.identity(dim)
+        return identity(dim)
     cells = [0] * (dim * dim)
     if kind == "sparse":
         filled = draw(st.sets(st.integers(0, dim * dim - 1), max_size=dim * dim // 2))
@@ -101,13 +101,13 @@ class TestSparseProduct:
         q = GapPattern.parse("abbabaabbaababbabaababbabaab.abb")
         rng = random.Random(17)
         blocks = ["".join(rng.choice("ab") for _ in range(300)) for _ in range(4)]
-        product = IntMatrix.identity(90)
+        product = identity(90)
         for block in blocks:
             product = product * seq_matrix_direct(q, block).matrix
         assert product == seq_matrix(q, "".join(blocks)).matrix
 
     def test_non_matrix_operand(self):
-        m = IntMatrix.identity(2)
+        m = identity(2)
         assert m.__mul__(2) is NotImplemented
         with pytest.raises(TypeError):
             m * 2

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import witness_parikh_fold
+from oracles import identity, witness_parikh_fold
 from parikhseq.counting import count_gapped
 from parikhseq.intmat import IntMatrix
 from parikhseq.minors import (
@@ -129,7 +129,7 @@ class TestWitnessWord:
     def test_empty_word(self):
         assert witness_word(GapPattern.parse("ab.ba"), "") == ()
         _, minor, ok = verify_witness(GapPattern.parse("ab.ba"), "")
-        assert ok and minor == IntMatrix.identity(3)
+        assert ok and minor == identity(3)
 
     def test_prefix_ordered_nonoverlapping_pair_regression(self):
         # q2 and q3 never overlap in w, yet their symbols must stay in span
@@ -248,10 +248,10 @@ class TestMinorSweep:
         assert REFERENCE_MINOR.minor([1, 2], [2, 3]).det() == 2
 
     def test_identity_minors(self):
-        sweep = check_minor_nonneg(IntMatrix.identity(4), 4)
+        sweep = check_minor_nonneg(identity(4), 4)
         assert sweep.all_nonnegative
         for rows in ([1, 2], [1, 3], [2, 4]):
-            det = IntMatrix.identity(4).minor(rows, [1, 2]).det()
+            det = identity(4).minor(rows, [1, 2]).det()
             assert det in (0, 1)
 
     def test_two_factor_example_sweep(self):

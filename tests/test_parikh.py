@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import enum_subword, induced_by, is_classic, step_forms
+from oracles import enum_subword, identity, induced_by, is_classic, step_forms
 from parikhseq import packed
 from parikhseq.counting import count_subword
 from parikhseq.intmat import IntMatrix
@@ -54,7 +54,7 @@ class TestParikhMatrix:
     def test_empty_word_is_identity(self):
         for inducing in ("abc", "aa", "cdc"):
             ctx = induced_by(inducing)
-            assert parikh_matrix(ctx, "") == IntMatrix.identity(len(inducing) + 1)
+            assert parikh_matrix(ctx, "") == identity(len(inducing) + 1)
 
     def test_extended_mapping_values(self):
         ctx = induced_by("cdc")

@@ -1,19 +1,25 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import enum_piece, induced_by, step_forms
+from oracles import (
+    block_piece,
+    enum_piece,
+    identity,
+    induced_by,
+    seq_matrix_cells,
+    step_forms,
+)
 from parikhseq import packed
-from parikhseq.counting import count_gapped
+from parikhseq.counting import count_gapped, fragment_counts
 from parikhseq.intmat import IntMatrix
 from parikhseq.minors import minor_index_set
 from parikhseq.parikh import parikh_matrix
 from parikhseq.seqmat import (
     BLOCKS,
     SeqFold,
-    block_piece,
     factor_matrix,
     seq_matrix,
     seq_matrix_direct,
@@ -130,7 +136,7 @@ class TestFactorMatrix:
         }
 
     def test_empty_word_is_identity(self):
-        assert factor_matrix("abc", "").matrix == IntMatrix.identity(6)
+        assert factor_matrix("abc", "").matrix == identity(6)
 
     def test_two_letter_sigma_is_three_by_three(self):
         # cells: ends-with-a, count of ab, is-empty, starts-with-b
@@ -143,7 +149,7 @@ class TestFactorMatrix:
         assert (m.entry(1, 2), m.entry(1, 3), m.entry(2, 2), m.entry(2, 3)) == (
             0, 1, 0, 0,
         )
-        assert factor_matrix("ab", "").matrix == IntMatrix.identity(3)
+        assert factor_matrix("ab", "").matrix == identity(3)
 
     def test_short_sigma_rejected(self):
         with pytest.raises(PatternError):
@@ -182,8 +188,8 @@ class TestSequenceMatrix:
         for text in ("ab.c", "a.aba.a", "abc", "ab.ba.b"):
             q = GapPattern.parse(text)
             n = 3 * (q.flat_length - 1)
-            assert seq_matrix(q, "").matrix == IntMatrix.identity(n)
-            assert seq_matrix_direct(q, "").matrix == IntMatrix.identity(n)
+            assert seq_matrix(q, "").matrix == identity(n)
+            assert seq_matrix_direct(q, "").matrix == identity(n)
 
     def test_flat_length_one_rejected(self):
         with pytest.raises(PatternError):
@@ -482,3 +488,73 @@ class TestDirectAgainstEnumeration:
                             w, cell.runs, cell.left_anchored, cell.right_anchored
                         )
                         assert block.entry(i, j) == expected
+
+
+@st.composite
+def cells_case(draw):
+    """A pattern of 1-6 factors drawn from a pool of 1-3, so factors repeat,
+    and a word of 0-60 letters over one or two of the pattern's letters (c
+    in a pattern over abc is then absent from the word)."""
+    letters = draw(st.sampled_from(["a", "ab", "abc"]))
+    pool = draw(st.lists(st.text(letters, min_size=1, max_size=3), min_size=1, max_size=3))
+    factors = tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6)))
+    assume(sum(map(len, factors)) >= 2)
+    word = draw(st.text(draw(st.sampled_from(["a", "ab", letters])), max_size=60))
+    return GapPattern(factors), word
+
+
+class TestDirectAgainstCells:
+    """seq_matrix_direct fills each row from one walk; the oracle counts
+    every cell as its own piece."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cells_case())
+    def test_rows_equal_cells(self, case):
+        q, w = case
+        assert seq_matrix_direct(q, w) == seq_matrix_cells(q, w)
+
+    @pytest.mark.parametrize(
+        "pattern, word, blocks",
+        [
+            # S and C row 1 start at b, anchored, and w starts with a
+            ("ab.c", "abc", {"E": [[0, 1], [0, 1]], "F": [[1, 1], [0, 1]],
+                             "C": [[0, 0], [0, 1]], "S": [[0, 0], [0, 1]]}),
+            # the walk from 1 finds no ab at the boundary 2 and stops
+            ("ab.a", "ba", {"E": [[1, 0], [0, 1]], "F": [[0, 0], [0, 1]],
+                            "C": [[0, 1], [0, 1]], "S": [[1, 1], [0, 1]]}),
+            # E(1, 2) pins aa, longer than w, to the end; C(1, 2) pins a,
+            # equal to w, to both ends
+            ("aab", "a", {"E": [[1, 0], [0, 1]], "F": [[0, 0], [0, 0]],
+                          "C": [[0, 1], [0, 0]], "S": [[1, 0], [0, 0]]}),
+            # C(1, 2) pins b to both ends: w = b, then w = bb
+            ("abc", "b", {"E": [[0, 0], [0, 1]], "F": [[0, 0], [0, 0]],
+                          "C": [[0, 1], [0, 0]], "S": [[1, 0], [0, 0]]}),
+            ("abc", "bb", {"E": [[0, 0], [0, 1]], "F": [[0, 0], [0, 0]],
+                           "C": [[0, 0], [0, 0]], "S": [[1, 0], [0, 0]]}),
+            # d = 1: ends with a, count of ab, is empty, starts with b
+            ("ab", "aab", {"E": [[0]], "F": [[1]], "C": [[0]], "S": [[0]]}),
+            ("ab", "ba", {"E": [[1]], "F": [[0]], "C": [[0]], "S": [[1]]}),
+            # d = 1 on a boundary: counts of a, a.b and b
+            ("a.b", "abab", {"E": [[2]], "F": [[3]], "C": [[1]], "S": [[2]]}),
+            ("a.b", "", {"E": [[0]], "F": [[0]], "C": [[1]], "S": [[0]]}),
+        ],
+    )
+    def test_edge_cases(self, pattern, word, blocks):
+        q = GapPattern.parse(pattern)
+        sm = seq_matrix_direct(q, word)
+        assert blocks_of(sm) == blocks
+        assert sm == seq_matrix_cells(q, word) == seq_matrix(q, word)
+
+    def test_walk_stops_at_a_zero_count(self):
+        # from 1 over ab.a: a ends w, ab is absent, so ab.a is too
+        memo = {}
+        assert fragment_counts("ba", "aba", {2}, 1, False, memo) == ([1, 0, 0], [1, 0, 0])
+        assert memo == {"a": [2], "ab": []}
+
+    def test_anchored_first_run_not_a_prefix(self):
+        # from 2, anchored: b is not a prefix of abc; the memo is not used
+        memo = {}
+        assert fragment_counts("abc", "abc", {2}, 2, True, memo) == ([0, 0], [0, 0])
+        assert memo == {}
+        # b is a prefix of bcb, and c starts past it but does not end w
+        assert fragment_counts("bcb", "abc", {2}, 2, True, memo) == ([1, 1], [1, 0])
