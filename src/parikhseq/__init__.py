@@ -5,7 +5,6 @@ reduction, and generalized subword histories."""
 from .counting import (
     count_factor,
     count_gapped,
-    count_piece,
     count_subword,
     factor_starts,
 )
@@ -47,7 +46,6 @@ from .words import (
     Alphabet,
     GapPattern,
     PatternError,
-    Piece,
     parse_word,
 )
 
@@ -62,13 +60,11 @@ __all__ = [
     "ParikhContext",
     "ParikhFold",
     "PatternError",
-    "Piece",
     "SeqFold",
     "SeqMatrix",
     "check_minor_nonneg",
     "count_factor",
     "count_gapped",
-    "count_piece",
     "count_subword",
     "equivalent",
     "equivalent_bounded",

@@ -2,13 +2,22 @@
 
 All counters run on prefix-indexed tabulation (never literal enumeration of
 occurrence tuples), so they stay linear-ish in the word length and exact for
-arbitrarily large counts.  Conventions: the empty subword/factor/piece counts
-1 occurrence in any word; a both-anchored empty piece counts 1 only in the
-empty word.
+arbitrarily large counts.  Conventions: the empty subword/factor/fragment
+counts 1 occurrence in any word; a both-anchored empty fragment counts 1
+only in the empty word.
+
+A fragment of a gap pattern is a sequence of runs, each placed
+contiguously, with gaps >= 0 between them and optional end anchors.
+`fragment_counts` counts the fragments of one row of a sequence matrix in
+one walk, for `seqmat.seq_matrix_direct`.  `count_piece(w, runs,
+left_anchored, right_anchored)` counts one fragment on its own: it is the
+per-cell reference, which no library module calls.  It is kept here for the
+tests' cell-by-cell oracle and for the benchmark's tracer, which wraps it
+by this name.
 
 `count_piece` and `gapped_prefix_counts` take the start lists of their runs
 from a `starts(w, run)` function, `factor_starts` by default.  A caller
-that counts many pieces or patterns of one word can pass
+that counts many fragments or patterns of one word can pass
 `functools.cache(factor_starts)` so each distinct run is scanned once; the
 caller owns that memo and decides how long it lives.
 
@@ -16,8 +25,8 @@ Every gapped count goes through one merge step, `_step`, which places one
 more run after the placements of the runs before it.  `_chain` repeats it
 over whole patterns for `count_piece`, `count_gapped` and
 `gapped_prefix_counts`; `fragment_counts` runs it once per end along one
-pattern, for `seqmat.seq_matrix_direct`, and takes its start lists from a
-memo dict that the caller owns instead of a `starts` function.
+pattern and takes its start lists from a memo dict that the caller owns
+instead of a `starts` function.
 Anchored ends are checked in place (`startswith`/`endswith` and one cut in
 the last start list), never by scanning for the anchored run.
 """
@@ -28,7 +37,7 @@ from bisect import bisect_left, bisect_right
 from itertools import repeat
 from typing import Callable, Container, Hashable, Iterable, Sequence
 
-from .words import GapPattern, Piece
+from .words import GapPattern
 
 
 def factor_starts(w: str, u: str) -> list[int]:
@@ -122,14 +131,27 @@ def _chain(runs: Sequence[str], positions: Iterable[list[int]]) -> list[int]:
     return totals
 
 
-def _count_runs(
+def count_piece(
     w: str,
-    runs: tuple[str, ...],
-    left_anchored: bool,
-    right_anchored: bool,
-    starts: Callable[[str, str], list[int]],
+    runs: Sequence[str],
+    left_anchored: bool = False,
+    right_anchored: bool = False,
+    starts: Callable[[str, str], list[int]] = factor_starts,
 ) -> int:
-    """Placements of the runs in order, gap >= 0 between consecutive runs."""
+    """Occurrences in w of the runs in order, gap >= 0 between consecutive
+    runs, the first pinned to the start of w if left_anchored and the last
+    to its end if right_anchored: the count of one cell of a sequence
+    matrix, on its own.
+
+    No runs: 1, or [w is empty] when both-anchored.  `starts(w, run)` gives
+    the 1-based start list of a run (`factor_starts` by default); a
+    memoized one lets many calls on the same word share their scans, and
+    the lists it returns are never mutated.  Anchored ends are tested in
+    place: a left anchor by `w.startswith`, a right anchor by `w.endswith`
+    plus a cut in the previous run's starts.
+    """
+    if not runs:
+        return int(not w) if left_anchored and right_anchored else 1
     if left_anchored and not w.startswith(runs[0]):
         return 0
     if right_anchored:
@@ -236,25 +258,3 @@ def fragment_counts(
     rest = [0] * (len(flat) + 1 - start - len(free))
     return free + rest, ends + rest
 
-
-def count_piece(
-    w: str,
-    piece: Piece,
-    starts: Callable[[str, str], list[int]] = factor_starts,
-) -> int:
-    """Occurrences of an anchored piece in w.
-
-    Empty piece: 1 when unanchored or single-anchored, [w is empty] when
-    both-anchored.  `starts(w, run)` gives the 1-based start list of a run
-    (`factor_starts` by default); a memoized one lets many calls on the same
-    word share their scans, and the lists it returns are never mutated.
-    Anchored ends are tested in place: a left anchor by `w.startswith`, a
-    right anchor by `w.endswith` plus a cut in the previous run's starts.
-    """
-    if piece.is_empty:
-        if piece.left_anchored and piece.right_anchored:
-            return 1 if not w else 0
-        return 1
-    return _count_runs(
-        w, piece.runs, piece.left_anchored, piece.right_anchored, starts
-    )

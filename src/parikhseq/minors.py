@@ -19,20 +19,14 @@ from math import inf
 from .counting import factor_starts, gapped_prefix_counts
 from .intmat import IntMatrix
 from .parikh import subword_matrix
-from .seqmat import SeqMatrix
+from .seqmat import SeqMatrix, block_dim
 from .words import GapPattern
 
 
 def minor_index_set(pattern: GapPattern) -> tuple[int, ...]:
     """1-based row/column indices of the special minor inside the full matrix."""
-    length = pattern.flat_length
-    if length < 2:
-        raise ValueError(
-            f"pattern {pattern} has no full matrix to extract from (flat length < 2)"
-        )
-    d = length - 1
-    cuts = sorted(pattern.boundaries)
-    return (1, *[d + l for l in cuts], 3 * d)
+    d = block_dim(pattern)
+    return (1, *[d + l for l in sorted(pattern.boundaries)], 3 * d)
 
 
 def special_minor(pattern: GapPattern, w: str) -> IntMatrix:

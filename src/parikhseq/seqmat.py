@@ -24,7 +24,7 @@ of the matrices, which the streaming fold exploits letter by letter.
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .counting import fragment_counts
 from .intmat import IntMatrix
@@ -92,17 +92,18 @@ class SeqMatrix:
         return str(self.matrix)
 
 
-def _assemble(pattern: GapPattern, mid: list[list[int]], right: list[list[int]]) -> SeqMatrix:
-    """Full matrix from its middle and right block columns: mid[j] is
-    column j+1 of E over C and right[j] column j+1 of F over S, 2d entries
-    each, completed by the identity and zero parts of [[I,E,F],[0,C,S],[0,0,I]]."""
-    d = len(mid)
-    zero = [0] * d
-    unit = [zero[:j] + [1] + zero[j + 1 :] for j in range(d)]
-    cols = [u + zero + zero for u in unit]
-    cols += [col + zero for col in mid]
-    cols += [col + u for col, u in zip(right, unit)]
-    return SeqMatrix(pattern, IntMatrix(zip(*cols)))
+def _assemble(pattern: GapPattern, core: Sequence[Sequence[int]]) -> SeqMatrix:
+    """Full matrix from the 2d rows of its [[E, F], [C, S]] core, 2d
+    entries each: row i of E then F for i = 1 .. d, then row i of C then S.
+    The identity and zero parts of [[I,E,F],[0,C,S],[0,0,I]] are added here
+    and nowhere else."""
+    d = len(core) // 2
+    zero = (0,) * d
+    unit = [zero[:i] + (1,) + zero[i + 1 :] for i in range(d)]
+    rows = [(*u, *row) for u, row in zip(unit, core)]
+    rows += [(*zero, *row) for row in core[d:]]
+    rows += [(*zero, *zero, *u) for u in unit]
+    return SeqMatrix(pattern, IntMatrix(rows))
 
 
 def seq_matrix_direct(pattern: GapPattern, w: str) -> SeqMatrix:
@@ -119,6 +120,7 @@ def seq_matrix_direct(pattern: GapPattern, w: str) -> SeqMatrix:
     by one cut of their start list.  No value is taken from another row,
     and no product rule or fold is used; the walks share one start list
     per distinct run of w, kept for this call and dropped when it returns.
+    The 2d rows go to _assemble as they are.
     """
     d = block_dim(pattern)
     flat, b = pattern.flat, pattern.boundaries
@@ -131,8 +133,7 @@ def seq_matrix_direct(pattern: GapPattern, w: str) -> SeqMatrix:
         free, ends = fragment_counts(w, flat, b, i + 1, i not in b, memo)
         diag = 1 if i in b else int(not w)
         lower.append(zero + [diag] + ends[: d - i] + zero + free)
-    cols = [list(col) for col in zip(*upper, *lower)]
-    return _assemble(pattern, cols[:d], cols[d:])
+    return _assemble(pattern, upper + lower)
 
 
 def seq_matrix_letter(pattern: GapPattern, letter: str) -> IntMatrix:
@@ -166,8 +167,9 @@ class SeqFold(PackedFold):
     exactly as E and C do, and E and C change together, a push is one int
     operation per column: a right column adds its middle column, a stepped
     middle column adds column j-1 (and the unit bit of E's row j), and a
-    cleared column is set to 0.  result() unpacks the limbs and hands the
-    middle and right columns, in this layout, to _assemble.
+    cleared column is set to 0.  result() unpacks the limbs and transposes
+    the middle and right columns once, into the 2d core rows _assemble
+    takes.
 
     No limb carries into the next.  Let f = len(pattern.factors) and
     n >= 1 the letters pushed.  An entry counts the occurrences of a
@@ -210,9 +212,7 @@ class SeqFold(PackedFold):
     push = PackedFold.push
 
     def result(self) -> SeqMatrix:
-        d = self._d
-        cols = self._unpacked()
-        return _assemble(self.pattern, cols[1 : d + 1], cols[d + 1 :])
+        return _assemble(self.pattern, list(zip(*self._unpacked()[1:])))
 
 
 def seq_matrix(pattern: GapPattern, letters: Union[str, Iterable[str]]) -> SeqMatrix:
@@ -224,7 +224,6 @@ def seq_matrix(pattern: GapPattern, letters: Union[str, Iterable[str]]) -> SeqMa
 
 
 def factor_matrix(sigma: str, w: str) -> SeqMatrix:
-    """Factor-counting special case: the bullet-free pattern [sigma]."""
-    if len(sigma) < 2:
-        raise PatternError(f"factor matrix needs |sigma| >= 2, got {sigma!r}")
+    """Factor-counting special case: the bullet-free pattern [sigma], so
+    block_dim rejects |sigma| < 2 as for any pattern."""
     return seq_matrix(GapPattern((sigma,)), w)

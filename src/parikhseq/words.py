@@ -1,9 +1,12 @@
-"""Ordered alphabets, words, gap patterns, and anchored pieces.
+"""Ordered alphabets, words, and gap patterns.
 
 Words are plain strings over single-character symbols from [a-zA-Z0-9].
 Positions are 1-based in every public contract.  A gap pattern is a
 nonempty sequence of nonempty factors; the gap marker between factors is
-rendered '.' in text form ('•' is accepted as an input alias).
+rendered '.' in text form ('•' is accepted as an input alias).  Its
+`flat` letters and `boundaries` are all the counters need: the fragment a
+matrix cell counts is cut into runs from them where it is counted (see
+`counting.fragment_counts`), with no fragment type of its own.
 """
 
 from __future__ import annotations
@@ -87,35 +90,6 @@ def parse_word(text: str, alphabet: Alphabet | None = None) -> str:
 
 
 @dataclass(frozen=True)
-class Piece:
-    """A fragment of a gap pattern: sub-factor runs plus optional end anchors.
-
-    An occurrence places the runs in order with a gap of length >= 0 between
-    consecutive runs.  `left_anchored` pins the first run to the start of the
-    containing word, `right_anchored` pins the last run to its end.
-    """
-
-    runs: tuple[str, ...]
-    left_anchored: bool = False
-    right_anchored: bool = False
-
-    def __post_init__(self) -> None:
-        for run in self.runs:
-            if not run:
-                raise PatternError("piece runs must be nonempty")
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.runs
-
-    def __str__(self) -> str:
-        text = ".".join(self.runs)
-        left = "^" if self.left_anchored else ""
-        right = "$" if self.right_anchored else ""
-        return f"{left}{text}{right}"
-
-
-@dataclass(frozen=True)
 class GapPattern:
     """A nonempty sequence of nonempty factors matched with gaps in between.
 
@@ -163,35 +137,6 @@ class GapPattern:
     @property
     def flat_length(self) -> int:
         return len(self.flat)
-
-    def piece(
-        self,
-        i: int,
-        j: int,
-        left_anchored: bool = False,
-        right_anchored: bool = False,
-    ) -> Piece:
-        """The fragment between flat positions i and j, split at boundaries.
-
-        i = j + 1 yields the empty piece (anchors carried unchanged); otherwise
-        1 <= i <= j <= L is required.  Runs are cut at each boundary strictly
-        inside [i, j-1].
-        """
-        length = len(self.flat)
-        if j + 1 == i:
-            if not 1 <= i <= length + 1:
-                raise ValueError(f"empty piece start {i} outside [1, {length + 1}]")
-            return Piece((), left_anchored, right_anchored)
-        if not 1 <= i <= j <= length:
-            raise ValueError(f"piece bounds [{i}, {j}] outside [1, {length}]")
-        cuts = sorted(b for b in self.boundaries if i <= b < j)
-        runs = []
-        start = i
-        for cut in cuts:
-            runs.append(self.flat[start - 1 : cut])
-            start = cut + 1
-        runs.append(self.flat[start - 1 : j])
-        return Piece(tuple(runs), left_anchored, right_anchored)
 
     def factor_slice(self, i: int, j: int) -> GapPattern:
         """The sub-pattern q_i . ... . q_j (1-based factor indices)."""

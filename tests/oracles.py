@@ -3,12 +3,13 @@
 The counters enumerate occurrence tuples literally (feasible up to |w| ~ 12),
 independent of the tabulated counters in the package.  The dense product
 forms all n^3 products, the oracle for `IntMatrix.__mul__`, which skips
-zeros.  The cell-by-cell sequence matrix counts every cell as its own
-anchored piece, the oracle for `parikhseq.seqmat.seq_matrix_direct`, which
-fills each row from one walk.  The witness fold renders factor indices as
-letters and folds their Parikh matrix, the oracle for
-`parikhseq.minors.witness_parikh_matrix`, which counts on the indices
-directly.  The small accessors after them (identity matrix, matrix cell
+zeros.  The cell-by-cell sequence matrix cuts every cell's fragment into
+runs itself (`piece`, `block_piece`) and counts it on its own with
+`parikhseq.counting.count_piece`, the oracle for
+`parikhseq.seqmat.seq_matrix_direct`, which fills each row from one walk.
+The witness fold renders factor indices as letters and folds their Parikh
+matrix, the oracle for `parikhseq.minors.witness_parikh_matrix`, which
+counts on the indices directly.  The small accessors after them (identity matrix, matrix cell
 diff, symbol index, pattern letter, induced Parikh context, the forms of a
 fold's cached steps) serve only test code.  The generalized subword history helpers at
 the end are the ground shuffle, the interleaving test, the junction
@@ -23,7 +24,7 @@ from functools import cache
 from itertools import combinations
 from operator import mul
 from string import ascii_lowercase
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from parikhseq.counting import count_piece, factor_starts
 from parikhseq.gsh import (
@@ -37,7 +38,7 @@ from parikhseq.intmat import IntMatrix
 from parikhseq.packed import PackedFold
 from parikhseq.parikh import ParikhContext, parikh_matrix
 from parikhseq.seqmat import BLOCKS, SeqMatrix, _assemble, block_dim
-from parikhseq.words import Alphabet, GapPattern, PatternError, Piece
+from parikhseq.words import Alphabet, GapPattern, PatternError
 
 
 def enum_subword(w: str, u: str) -> int:
@@ -122,6 +123,37 @@ def dense_product(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return IntMatrix([[sum(map(mul, row, col)) for col in cols] for row in a.rows])
 
 
+class Piece(NamedTuple):
+    """A fragment of a gap pattern as count_piece takes it: the runs, then
+    the end anchors, so `count_piece(w, *piece)` counts it."""
+
+    runs: tuple[str, ...]
+    left_anchored: bool = False
+    right_anchored: bool = False
+
+
+def piece(
+    pattern: GapPattern,
+    i: int,
+    j: int,
+    left_anchored: bool = False,
+    right_anchored: bool = False,
+) -> Piece:
+    """The fragment between flat positions i and j, cut into runs after each
+    boundary strictly inside [i, j-1].  i = j + 1 yields the empty fragment
+    (anchors carried unchanged); otherwise 1 <= i <= j <= L is required."""
+    length = len(pattern.flat)
+    if j + 1 == i:
+        if not 1 <= i <= length + 1:
+            raise ValueError(f"empty piece start {i} outside [1, {length + 1}]")
+        return Piece((), left_anchored, right_anchored)
+    if not 1 <= i <= j <= length:
+        raise ValueError(f"piece bounds [{i}, {j}] outside [1, {length}]")
+    edges = [i - 1, *sorted(b for b in pattern.boundaries if i <= b < j), j]
+    runs = tuple(pattern.flat[lo:hi] for lo, hi in zip(edges, edges[1:]))
+    return Piece(runs, left_anchored, right_anchored)
+
+
 def block_piece(pattern: GapPattern, name: str, i: int, j: int) -> Piece:
     """Piece counted by cell (i, j) of a named block, 1 <= i <= j <= d.
 
@@ -131,28 +163,26 @@ def block_piece(pattern: GapPattern, name: str, i: int, j: int) -> Piece:
     """
     r, c = BLOCKS[name]
     b = pattern.boundaries
-    return pattern.piece(i + r, j + c - 1, r == 1 and i not in b, c == 1 and j not in b)
+    return piece(pattern, i + r, j + c - 1, r == 1 and i not in b, c == 1 and j not in b)
 
 
 def seq_matrix_cells(pattern: GapPattern, w: str) -> SeqMatrix:
-    """Sequence matrix built cell by cell, one block column at a time: every
-    cell is counted on its own by `count_piece`, with no value taken from
-    another cell, the oracle for `parikhseq.seqmat.seq_matrix_direct`,
-    which fills a row from one walk."""
+    """Sequence matrix built cell by cell: every cell is counted on its own
+    by `count_piece`, with no value taken from another cell, the oracle for
+    `parikhseq.seqmat.seq_matrix_direct`, which fills a row from one walk."""
     d = block_dim(pattern)
     starts = cache(factor_starts)
 
-    def column(upper: str, lower: str, j: int) -> list[int]:
-        return [
-            count_piece(w, block_piece(pattern, name, i, j), starts) if i <= j else 0
-            for name in (upper, lower)
-            for i in range(1, d + 1)
-        ]
+    def cell(name: str, i: int, j: int) -> int:
+        return count_piece(w, *block_piece(pattern, name, i, j), starts) if i <= j else 0
 
     return _assemble(
         pattern,
-        [column("E", "C", j) for j in range(1, d + 1)],
-        [column("F", "S", j) for j in range(1, d + 1)],
+        [
+            [cell(name, i, j) for name in names for j in range(1, d + 1)]
+            for names in (("E", "F"), ("C", "S"))
+            for i in range(1, d + 1)
+        ],
     )
 
 

@@ -207,6 +207,11 @@ class TestMatrix:
         )
         assert code == 2 and "error" in err
 
+    def test_one_letter_factor_alphabet_rejected(self, capsys):
+        # the CLI's own message names the flag; the library's names the pattern
+        code, out, err = run_cli(capsys, "matrix", "factor", "--alphabet", "a", "ab")
+        assert (code, out, err) == (2, "", "error: matrix factor needs an alphabet of size >= 2\n")
+
     def test_fold_direct_mismatch_exits_one(self, capsys, monkeypatch):
         from parikhseq.seqmat import GapPattern, seq_matrix
 

@@ -16,7 +16,7 @@ from parikhseq.counting import (
     gapped_prefix_counts,
     subword_prefix_counts,
 )
-from parikhseq.words import GapPattern, Piece
+from parikhseq.words import GapPattern
 
 
 class TestCountSubword:
@@ -143,25 +143,25 @@ class TestCountGapped:
 
 class TestCountPiece:
     def test_left_anchor(self):
-        assert count_piece("babcab", Piece(("b", "c"), True, False)) == 1
+        assert count_piece("babcab", ("b", "c"), True, False) == 1
 
     def test_no_anchors_single_run(self):
-        assert count_piece("babcab", Piece(("ab",))) == 2
+        assert count_piece("babcab", ("ab",)) == 2
 
     def test_right_anchor(self):
-        assert count_piece("aba", Piece(("a", "a"), False, True)) == 1
+        assert count_piece("aba", ("a", "a"), False, True) == 1
 
     def test_left_anchor_single_letter(self):
         # anchored tuples of 'a' in aba starting at position 1: exactly one
         assert enum_piece("aba", ("a",), True, False) == 1
-        assert count_piece("aba", Piece(("a",), True, False)) == 1
+        assert count_piece("aba", ("a",), True, False) == 1
 
     def test_empty_piece_conventions(self):
         for w in ("", "a", "abc"):
-            assert count_piece(w, Piece(())) == 1
-            assert count_piece(w, Piece((), True, False)) == 1
-            assert count_piece(w, Piece((), False, True)) == 1
-            assert count_piece(w, Piece((), True, True)) == (1 if w == "" else 0)
+            assert count_piece(w, ()) == 1
+            assert count_piece(w, (), True, False) == 1
+            assert count_piece(w, (), False, True) == 1
+            assert count_piece(w, (), True, True) == (1 if w == "" else 0)
 
     def test_both_anchors_single_run_is_equality(self):
         rng = random.Random(5)
@@ -169,14 +169,14 @@ class TestCountPiece:
             w = "".join(rng.choice("ab") for _ in range(rng.randint(0, 6)))
             u = "".join(rng.choice("ab") for _ in range(rng.randint(1, 6)))
             expected = 1 if w == u else 0
-            assert count_piece(w, Piece((u,), True, True)) == expected
+            assert count_piece(w, (u,), True, True) == expected
 
     def test_unanchored_single_run_is_factor_count(self):
         rng = random.Random(6)
         for _ in range(200):
             w = "".join(rng.choice("ab") for _ in range(rng.randint(0, 10)))
             u = "".join(rng.choice("ab") for _ in range(rng.randint(1, 3)))
-            assert count_piece(w, Piece((u,))) == count_factor(w, u)
+            assert count_piece(w, (u,)) == count_factor(w, u)
 
     def test_matches_enumeration_with_anchors(self):
         rng = random.Random(7)
@@ -188,7 +188,7 @@ class TestCountPiece:
             )
             left = rng.random() < 0.5
             right = rng.random() < 0.5
-            assert count_piece(w, Piece(runs, left, right)) == enum_piece(
+            assert count_piece(w, runs, left, right) == enum_piece(
                 w, runs, left, right
             )
 
@@ -200,9 +200,8 @@ class TestCountPiece:
                 "".join(rng.choice("ab") for _ in range(rng.randint(1, 2)))
                 for _ in range(rng.randint(1, 2))
             )
-            piece = Piece(runs)
-            before = count_piece(w, piece)
-            assert count_piece(w + rng.choice("ab"), piece) >= before
+            before = count_piece(w, runs)
+            assert count_piece(w + rng.choice("ab"), runs) >= before
 
 
 @st.composite
@@ -213,18 +212,18 @@ def piece_and_word(draw):
     letters = st.sampled_from(alphabet)
     run = st.lists(letters, min_size=1, max_size=3).map("".join)
     runs = tuple(draw(st.lists(run, min_size=1, max_size=4)))
-    piece = Piece(runs, draw(st.booleans()), draw(st.booleans()))
-    return piece, "".join(draw(st.lists(letters, max_size=14)))
+    left, right = draw(st.booleans()), draw(st.booleans())
+    return runs, left, right, "".join(draw(st.lists(letters, max_size=14)))
 
 
 class TestSharedStarts:
     @settings(max_examples=400, deadline=None)
     @given(piece_and_word())
     def test_cached_starts_agree_with_enumeration(self, case):
-        piece, w = case
-        expected = enum_piece(w, piece.runs, piece.left_anchored, piece.right_anchored)
-        assert count_piece(w, piece) == expected
-        assert count_piece(w, piece, cache(factor_starts)) == expected
+        runs, left, right, w = case
+        expected = enum_piece(w, runs, left, right)
+        assert count_piece(w, runs, left, right) == expected
+        assert count_piece(w, runs, left, right, cache(factor_starts)) == expected
 
     @pytest.mark.parametrize(
         "w,runs,left,right,expected",
@@ -251,18 +250,17 @@ class TestSharedStarts:
     )
     def test_anchored_ends(self, w, runs, left, right, expected):
         assert enum_piece(w, runs, left, right) == expected
-        piece = Piece(runs, left, right)
-        assert count_piece(w, piece) == expected
-        assert count_piece(w, piece, cache(factor_starts)) == expected
+        assert count_piece(w, runs, left, right) == expected
+        assert count_piece(w, runs, left, right, cache(factor_starts)) == expected
 
     def test_one_memo_across_words_keeps_words_apart(self):
         starts = cache(factor_starts)
-        piece = Piece(("a", "b"))
-        assert count_piece("aab", piece, starts) == 2
-        assert count_piece("abab", piece, starts) == 3
-        assert count_piece("ba", piece, starts) == 0
-        assert count_piece("aab", Piece(("a", "b"), False, True), starts) == 2
-        assert count_piece("abab", Piece(("a", "b"), True, False), starts) == 2
+        runs = ("a", "b")
+        assert count_piece("aab", runs, starts=starts) == 2
+        assert count_piece("abab", runs, starts=starts) == 3
+        assert count_piece("ba", runs, starts=starts) == 0
+        assert count_piece("aab", runs, False, True, starts) == 2
+        assert count_piece("abab", runs, True, False, starts) == 2
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -283,6 +281,6 @@ class TestSharedStarts:
             lists[run] = factor_starts(w, run)
             return lists[run]
 
-        for piece in (Piece(("a", "b"), True, True), Piece(("a", "a", "b"), False, True)):
-            count_piece("aabab", piece, starts)
+        for runs, left in ((("a", "b"), True), (("a", "a", "b"), False)):
+            count_piece("aabab", runs, left, True, starts)
         assert {run: factor_starts("aabab", run) for run in lists} == lists

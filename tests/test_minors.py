@@ -22,7 +22,7 @@ from parikhseq.minors import (
 )
 from parikhseq.parikh import ParikhContext, parikh_matrix, parikh_matrix_direct
 from parikhseq.seqmat import seq_matrix
-from parikhseq.words import Alphabet, GapPattern
+from parikhseq.words import Alphabet, GapPattern, PatternError
 
 A_ABA_A = GapPattern.parse("a.aba.a")
 REFERENCE_MINOR = IntMatrix([[1, 2, 0, 0], [0, 1, 1, 0], [0, 0, 1, 2], [0, 0, 0, 1]])
@@ -95,6 +95,11 @@ class TestSpecialMinor:
         assert minor_index_set(A_ABA_A) == (1, 5, 8, 12)
         assert minor_index_set(GapPattern.parse("ab.c")) == (1, 4, 6)
         assert minor_index_set(GapPattern(("ab",))) == (1, 3)
+
+    def test_index_set_rejects_flat_length_one(self):
+        # the same rule and error as every matrix builder (seqmat.block_dim)
+        with pytest.raises(PatternError, match="flat length 1"):
+            minor_index_set(GapPattern.parse("a"))
 
     def test_extraction_matches_direct(self):
         for text, w in [

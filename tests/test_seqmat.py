@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    Piece,
     block_piece,
     enum_piece,
     identity,
@@ -25,7 +26,7 @@ from parikhseq.seqmat import (
     seq_matrix_direct,
     seq_matrix_letter,
 )
-from parikhseq.words import Alphabet, GapPattern, PatternError, Piece
+from parikhseq.words import Alphabet, GapPattern, PatternError
 
 ABC_SIGMA = GapPattern(("abc",))
 AB_C = GapPattern.parse("ab.c")

@@ -2,13 +2,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import pattern_letter, symbol_index
+from oracles import Piece, pattern_letter, piece, symbol_index
 from parikhseq.words import (
     SYMBOL_CHARS,
     Alphabet,
     GapPattern,
     PatternError,
-    Piece,
     parse_word,
 )
 
@@ -111,46 +110,48 @@ def _split_by_scan(q: GapPattern, i: int, j: int) -> tuple[str, ...]:
 
 
 class TestPiece:
+    """The tests-side splitter behind the per-cell oracle (oracles.piece)."""
+
     def test_whole_pattern(self):
         q = GapPattern.parse("ab.c")
-        assert q.piece(1, 3).runs == ("ab", "c")
+        assert piece(q, 1, 3).runs == ("ab", "c")
 
     def test_interior_slice_skips_outside_boundaries(self):
         q = GapPattern.parse("a.aba.a")
         # boundaries {1, 4}: neither lies strictly inside [2, 3]
-        assert q.piece(2, 4).runs == _split_by_scan(q, 2, 4) == ("aba",)
+        assert piece(q, 2, 4).runs == _split_by_scan(q, 2, 4) == ("aba",)
 
     def test_boundary_inside(self):
         q = GapPattern.parse("ab.c")
-        assert q.piece(2, 3).runs == ("b", "c")
+        assert piece(q, 2, 3).runs == ("b", "c")
 
     def test_anchors_carried(self):
         q = GapPattern.parse("ab.c")
-        p = q.piece(1, 2, left_anchored=True, right_anchored=True)
+        p = piece(q, 1, 2, left_anchored=True, right_anchored=True)
         assert p == Piece(("ab",), True, True)
 
     def test_empty_piece(self):
         q = GapPattern.parse("ab.c")
-        p = q.piece(3, 2, left_anchored=True)
-        assert p.is_empty and p.left_anchored and not p.right_anchored
+        p = piece(q, 3, 2, left_anchored=True)
+        assert not p.runs and p.left_anchored and not p.right_anchored
 
     def test_out_of_range(self):
         q = GapPattern.parse("ab.c")
         with pytest.raises(ValueError):
-            q.piece(0, 2)
+            piece(q, 0, 2)
         with pytest.raises(ValueError):
-            q.piece(1, 4)
+            piece(q, 1, 4)
 
     def test_full_slice_reconstructs_pattern(self):
         for text in ["ab.c", "a.aba.a", "abc", "a.b.c", "ab.ba.b"]:
             q = GapPattern.parse(text)
-            assert q.piece(1, q.flat_length).runs == q.factors
+            assert piece(q, 1, q.flat_length).runs == q.factors
 
     def test_all_slices_match_scan_splitter(self):
         q = GapPattern.parse("ab.ba.b")
         for i in range(1, q.flat_length + 1):
             for j in range(i, q.flat_length + 1):
-                assert q.piece(i, j).runs == _split_by_scan(q, i, j)
+                assert piece(q, i, j).runs == _split_by_scan(q, i, j)
 
 
 class TestFactorSlice:
