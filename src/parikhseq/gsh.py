@@ -30,6 +30,9 @@ from .words import Alphabet, GapPattern, PatternError, check_symbols
 
 Monomial = tuple[str, ...]
 
+# GapPattern's message, for monomials built without a pattern
+_BAD_SYMBOL = "pattern contains invalid symbol {!r} (allowed: [a-zA-Z0-9])"
+
 
 def mono_key(m: Monomial) -> tuple:
     return (sum(map(len, m)), len(m), m)
@@ -69,6 +72,7 @@ class Mono(Expr):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "factors", canonical_mono(self.factors))
+        check_symbols("".join(self.factors), _BAD_SYMBOL)
 
     def __str__(self) -> str:
         return render_mono(self.factors)
@@ -125,40 +129,34 @@ def mono(*factors: str) -> Mono:
 EPSILON = Mono(())
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class LinearForm:
     """Finite map from canonical monomials to nonzero integer coefficients."""
 
-    __slots__ = ("_terms",)
+    terms: dict[Monomial, int] | None = None
 
-    def __init__(self, terms: dict[Monomial, int] | None = None):
+    def __post_init__(self) -> None:
         clean: dict[Monomial, int] = {}
-        for m, c in (terms or {}).items():
+        for m, c in (self.terms or {}).items():
             key = m if all(m) else canonical_mono(m)
             clean[key] = clean.get(key, 0) + c
-        object.__setattr__(self, "_terms", {m: c for m, c in clean.items() if c})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearForm is immutable")
+        check_symbols("".join(map("".join, clean)), _BAD_SYMBOL)
+        object.__setattr__(self, "terms", {m: c for m, c in clean.items() if c})
 
     def items(self) -> list[tuple[Monomial, int]]:
-        return sorted(self._terms.items(), key=lambda kv: mono_key(kv[0]))
+        return sorted(self.terms.items(), key=lambda kv: mono_key(kv[0]))
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LinearForm):
-            return NotImplemented
-        return self._terms == other._terms
+        return bool(self.terms)
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash(frozenset(self.terms.items()))
 
     def evaluate(self, w: str) -> int:
         return _value(self, w)
 
     def render(self) -> str:
-        if not self._terms:
+        if not self.terms:
             return "0"
         parts = []
         for m, c in self.items():
@@ -189,24 +187,21 @@ class LinearForm:
         return self.render()
 
     def __repr__(self) -> str:
-        return f"LinearForm({self._terms!r})"
+        return f"LinearForm({self.terms!r})"
 
 
 def _mono_value(m: Monomial, w: str) -> int:
-    # what GapPattern(m) checks of a canonical monomial, and count_gapped's
-    # count, without building a pattern for every monomial on every word
-    check_symbols("".join(m), "pattern contains invalid symbol {!r} (allowed: [a-zA-Z0-9])")
-    # a monomial longer than w has no occurrence, known without scanning w
+    # count_gapped's count without a pattern per monomial per word (Mono and
+    # LinearForm checked the symbols); a monomial longer than w counts 0
     if sum(map(len, m)) > len(w):
         return 0
     return gapped_prefix_counts(w, m)[-1]
 
 
 def _value(e: Union[Expr, LinearForm], w: str) -> int:
-    """Value of an expression or linear form in w, each monomial counted in
-    w on its own and none skipped, so each one's symbols are checked."""
+    """Value of an expression or linear form in w."""
     if isinstance(e, LinearForm):
-        return sum(c * _mono_value(m, w) for m, c in e._terms.items())
+        return sum(c * _mono_value(m, w) for m, c in e.terms.items())
     if isinstance(e, Mono):
         return _mono_value(e.factors, w)
     if isinstance(e, Neg):
@@ -553,7 +548,7 @@ def _evaluator(
 
     def add(e: Union[Expr, LinearForm], coeff: int) -> None:
         if isinstance(e, LinearForm):
-            for m, c in e._terms.items():
+            for m, c in e.terms.items():
                 linear[m] = linear.get(m, 0) + coeff * c
         elif isinstance(e, Mono):
             linear[e.factors] = linear.get(e.factors, 0) + coeff

@@ -11,16 +11,19 @@ elimination (exact, O(n^3), no rational intermediates).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class IntMatrix:
-    """Immutable square matrix of exact integers."""
+    """Immutable square matrix of exact integers, from any rows of ints."""
 
-    __slots__ = ("dim", "rows")
+    rows: tuple[tuple[int, ...], ...]
+    dim: int = field(init=False, compare=False)
 
-    def __init__(self, rows: Iterable[Sequence[int]]):
-        frozen = tuple(tuple(map(int, row)) for row in rows)
+    def __post_init__(self) -> None:
+        frozen = tuple(tuple(map(int, row)) for row in self.rows)
         n = len(frozen)
         if n == 0:
             raise ValueError("matrix must have at least one row")
@@ -29,9 +32,6 @@ class IntMatrix:
                 raise ValueError(f"matrix is not square: row length {len(row)} != {n}")
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "rows", frozen)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
 
     def entry(self, i: int, j: int) -> int:
         """Entry at 1-based (row, column)."""
@@ -56,14 +56,6 @@ class IntMatrix:
                         acc[j] += a * b
             out.append(acc)
         return IntMatrix(out)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
 
     def minor(self, row_indices: Iterable[int], col_indices: Iterable[int]) -> IntMatrix:
         """Submatrix on the given 1-based index sets, taken in ascending order."""

@@ -24,6 +24,7 @@ of the matrices, which the streaming fold exploits letter by letter.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 from .counting import fragment_counts
@@ -46,22 +47,19 @@ def block_dim(pattern: GapPattern) -> int:
     return d
 
 
+@dataclass(frozen=True, slots=True)
 class SeqMatrix:
     """A pattern together with its 3(L-1)-dimensional matrix image."""
 
-    __slots__ = ("pattern", "matrix")
+    pattern: GapPattern
+    matrix: IntMatrix
 
-    def __init__(self, pattern: GapPattern, matrix: IntMatrix):
-        d = block_dim(pattern)
-        if matrix.dim != 3 * d:
+    def __post_init__(self) -> None:
+        d = block_dim(self.pattern)
+        if self.matrix.dim != 3 * d:
             raise ValueError(
-                f"matrix dim {matrix.dim} does not match pattern dim {3 * d}"
+                f"matrix dim {self.matrix.dim} does not match pattern dim {3 * d}"
             )
-        object.__setattr__(self, "pattern", pattern)
-        object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SeqMatrix is immutable")
 
     @property
     def dim_block(self) -> int:
@@ -79,14 +77,6 @@ class SeqMatrix:
 
     def blocks(self) -> dict[str, IntMatrix]:
         return {name: self.block(name) for name in BLOCKS}
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SeqMatrix):
-            return NotImplemented
-        return self.pattern == other.pattern and self.matrix == other.matrix
-
-    def __hash__(self) -> int:
-        return hash((self.pattern, self.matrix))
 
     def __str__(self) -> str:
         return str(self.matrix)

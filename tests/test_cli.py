@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from oracles import identity
 from parikhseq import cli, gsh
 from parikhseq.intmat import IntMatrix
 from parikhseq.parikh import ParikhFold
-from parikhseq.seqmat import SeqFold
+from parikhseq.seqmat import SeqFold, seq_matrix
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -235,6 +236,53 @@ class TestMatrix:
     def test_missing_alphabet(self, capsys):
         code, _, err = run_cli(capsys, "matrix", "classic", "abcb")
         assert code == 2 and "error" in err
+
+
+def _disagreeing_directs(monkeypatch) -> list[str]:
+    """Make both direct constructions disagree with every fold; the returned
+    list collects the words they were called on."""
+    calls = []
+
+    def parikh(ctx, w):
+        calls.append(w)
+        return identity(ctx.dim)
+
+    def sequence(q, w):
+        calls.append(w)
+        return seq_matrix(q, w + "a")
+
+    monkeypatch.setattr(cli, "parikh_matrix_direct", parikh)
+    monkeypatch.setattr(cli, "seq_matrix_direct", sequence)
+    return calls
+
+
+class TestCrossCheckLimit:
+    """Buffered words up to one limit are cross-checked, for every matrix
+    kind; piped words never are."""
+
+    def test_long_buffered_parikh_word_is_checked(self, capsys, monkeypatch):
+        # 2001 letters, past the limit that held for Parikh matrices alone
+        calls = _disagreeing_directs(monkeypatch)
+        word = ("abc" * 667)[:2001]
+        code, out, err = run_cli(capsys, "matrix", "classic", "--alphabet", "abc", word)
+        assert (code, out) == (1, "") and "disagrees" in err
+        assert calls == [word]
+
+    @pytest.mark.parametrize("kind", _PIPED_KINDS)
+    def test_limit_is_inclusive(self, capsys, monkeypatch, kind):
+        calls = _disagreeing_directs(monkeypatch)
+        monkeypatch.setattr(cli, "_CHECK_LIMIT", 5)
+        assert run_cli(capsys, *kind, "abbab")[0] == 1
+        assert run_cli(capsys, *kind, "abbaba")[0] == 0
+        assert calls == ["abbab"]
+
+    @pytest.mark.parametrize("kind", _PIPED_KINDS)
+    def test_piped_word_is_never_checked(self, capsys, monkeypatch, kind):
+        calls = _disagreeing_directs(monkeypatch)
+        monkeypatch.setattr("sys.stdin", io.StringIO("abbab\n"))
+        code, out, _ = run_cli(capsys, *kind, "--format", "json")
+        assert code == 0 and json.loads(out)["length"] == 5
+        assert calls == []
 
 
 _BAD_WORD = "error: word contains invalid symbol '!' (allowed: [a-zA-Z0-9])\n"
@@ -478,6 +526,22 @@ class TestGsh:
             capsys, "gsh", "eval", "+".join(["a"] * 2000) + "-b" * 1000, "aab"
         )
         assert code == 0 and out.strip() == str(2000 * 2 - 1000)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_value_past_the_int_to_text_limit(self, capsys, fmt):
+        # each coefficient has 4001 digits, which parse; the value has over
+        # 8000, past the 4300 up to which str() turns an int into text
+        n = "9" * 4001
+        expr = f"-{n}(a.b) * {n}(b) + a"
+        code, out, err = run_cli(capsys, "gsh", "eval", expr, "aabb", "--format", fmt)
+        assert (code, err) == (0, "")
+        text = json.loads(out)["value"] if fmt == "json" else out.strip()
+        assert text.startswith("-") and text[1:].isdigit() and len(text) > 8000
+        assert Decimal(text) == gsh.evaluate(gsh.parse_expr(expr), "aabb")
+
+    def test_coefficient_past_the_int_to_text_limit_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "gsh", "eval", "9" * 4301 + "(a)", "a")
+        assert (code, out) == (2, "") and "error" in err
 
 
 class TestVerify:

@@ -31,6 +31,7 @@ from parikhseq.gsh import (
     equivalent,
     equivalent_bounded,
     evaluate,
+    first_difference,
     linearize,
     linearize_product,
     mono,
@@ -38,7 +39,7 @@ from parikhseq.gsh import (
     red,
     words_up_to,
 )
-from parikhseq.words import Alphabet
+from parikhseq.words import Alphabet, PatternError
 
 AB = Alphabet.parse("ab")
 
@@ -800,6 +801,44 @@ class TestLinearFormBasics:
     def test_render_parses_back(self):
         form = LinearForm({("a", "a"): 2, ("a",): 1})
         assert linearize(parse_expr(form.render())) == form
+
+    def test_terms_refuse_assignment(self):
+        form = LinearForm({("a", "a"): 2})
+        with pytest.raises(AttributeError):
+            form.terms = {}
+        with pytest.raises(AttributeError):
+            del form.terms
+        assert form == LinearForm({("a", "a"): 2})
+
+    def test_equal_forms_hash_equal(self):
+        a = LinearForm({("a", "", "b"): 1, ("c",): 2, ("d",): 0})
+        b = LinearForm({("c",): 1, ("a", "b"): 1, ("c", ""): 1})
+        assert a == b and hash(a) == hash(b)
+        assert hash(LinearForm()) == hash(LinearForm({("a",): 0}))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: mono("a!"),
+            lambda: Mono(("a!",)),
+            lambda: Mono(("a", "", "b c")),
+            lambda: LinearForm({("a!",): 1}),
+            lambda: LinearForm({("a",): 1, ("b", "•"): -1}),
+            lambda: linearize_product(("a!",), ("b",)),
+            # the monomial is refused before any of these can count it
+            lambda: linearize(mono("a!") * mono("a!")),
+            lambda: first_difference(mono("a!"), EPSILON, AB, 2),
+            lambda: equivalent_bounded(mono("a!"), mono("a!"), AB, 3),
+            lambda: evaluate(mono("a!"), "a"),
+        ],
+        ids=[
+            "mono", "Mono", "Mono-space", "LinearForm", "LinearForm-bullet", "product",
+            "linearize", "first_difference", "equivalent_bounded", "evaluate",
+        ],
+    )
+    def test_invalid_symbols_refused_when_built(self, build):
+        with pytest.raises(PatternError, match=r"pattern contains invalid symbol .* \(allowed: \[a-zA-Z0-9\]\)"):
+            build()
 
     @settings(max_examples=200, deadline=None)
     @given(

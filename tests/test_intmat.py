@@ -189,6 +189,24 @@ class TestJson:
             IntMatrix.from_json_dict({"dim": 3, "rows": [["1"]]})
 
 
+class TestValueType:
+    def test_fields_refuse_assignment(self):
+        m = IntMatrix([[1, 2], [3, 4]])
+        for name in ("rows", "dim"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, getattr(m, name))
+            with pytest.raises(AttributeError):
+                delattr(m, name)
+        assert m.rows == ((1, 2), (3, 4)) and m.dim == 2
+
+    def test_equal_values_hash_equal(self):
+        a = IntMatrix([[1, 2], [3, 4]])
+        b = IntMatrix(((True, 2), (3, 4)))  # any rows of ints, kept as int tuples
+        assert a == b and hash(a) == hash(b)
+        assert a != IntMatrix([[1, 2], [3, 5]])
+        assert len({a, b, IntMatrix([[1, 2], [3, 5]])}) == 2
+
+
 class TestDiff:
     def test_reports_differing_cells(self):
         a = IntMatrix([[1, 2], [3, 4]])

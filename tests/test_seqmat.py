@@ -21,6 +21,7 @@ from parikhseq.parikh import parikh_matrix
 from parikhseq.seqmat import (
     BLOCKS,
     SeqFold,
+    SeqMatrix,
     factor_matrix,
     seq_matrix,
     seq_matrix_direct,
@@ -195,6 +196,26 @@ class TestSequenceMatrix:
     def test_flat_length_one_rejected(self):
         with pytest.raises(PatternError):
             seq_matrix(GapPattern(("a",)), "")
+
+    def test_wrong_dimension_rejected(self):
+        # ab.c has block dimension 2, so its matrices are 6 x 6
+        with pytest.raises(ValueError, match="does not match pattern dim 6"):
+            SeqMatrix(AB_C, identity(9))
+
+    def test_fields_refuse_assignment(self):
+        sm = seq_matrix(AB_C, "babcab")
+        for name in ("pattern", "matrix"):
+            with pytest.raises(AttributeError):
+                setattr(sm, name, getattr(sm, name))
+            with pytest.raises(AttributeError):
+                delattr(sm, name)
+
+    def test_equal_values_hash_equal(self):
+        fold, direct = seq_matrix(AB_C, "babcab"), seq_matrix_direct(AB_C, "babcab")
+        assert fold == direct and hash(fold) == hash(direct)
+        assert fold != seq_matrix(AB_C, "babca")
+        # the same matrix under another pattern of the same dimension differs
+        assert SeqMatrix(GapPattern.parse("ab.b"), fold.matrix) != fold
 
 
 class TestLetterGenerators:
