@@ -129,7 +129,7 @@ def mono(*factors: str) -> Mono:
 EPSILON = Mono(())
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, repr=False)
 class LinearForm:
     """Finite map from canonical monomials to nonzero integer coefficients."""
 
@@ -272,6 +272,7 @@ def red(p_run: Monomial, q_run: Monomial) -> LinearForm:
     qualifies."""
     if not p_run or not q_run:
         raise ValueError("red needs nonempty runs on both sides")
+    check_symbols("".join(p_run + q_run), _BAD_SYMBOL)
     words = _first_clusters(p_run, q_run).get((len(p_run), len(q_run)), {})
     return LinearForm({(v,): a for v, a in words.items()})
 

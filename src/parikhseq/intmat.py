@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, repr=False)
 class IntMatrix:
     """Immutable square matrix of exact integers, from any rows of ints."""
 

@@ -6,7 +6,8 @@ diagonal counts q_i . ... . q_{j-1} in w.  It equals the principal submatrix
 of the full sequence matrix on the index set {1} union {(L-1) + l_m} union
 {3(L-1)}, and it is always the classic Parikh matrix of a witness word over
 a derived x-letter alphabet, which makes every minor determinant
-nonnegative.
+nonnegative.  The witness is the factor occurrences sorted on one integer
+key each (see witness_word).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
-from math import inf
 
 from .counting import factor_starts, gapped_prefix_counts
 from .intmat import IntMatrix
@@ -61,64 +61,32 @@ def witness_parikh_matrix(witness: tuple[int, ...], x: int) -> IntMatrix:
 
 def witness_word(pattern: GapPattern, w: str) -> tuple[int, ...]:
     """Word over factor indices 1..x whose classic Parikh matrix equals the
-    special minor of the pattern in w.
+    special minor of the pattern in w: one symbol l per occurrence of q_l.
 
-    The matrix entry for a_i..a_j counts index chains whose symbols appear in
-    increasing position order, so the witness only has to realize one forced
-    orientation per pair: the symbol for occurrence k of q_l precedes the
-    symbol for occurrence m of q_{l+1} exactly when the former ends before
-    the latter starts (overlapping or reversed occurrences go the other way
-    round), and same-factor symbols keep their start order.  Together with
-    the fact that occurrences of one factor all have the same length, these
-    orientations form an acyclic digraph: along any cycle the start position
-    would gain at least len(q_l) on every upward crossing and lose at most
-    len(q_l) - 1 on every downward one, a net strict increase.  Emitting any
-    linear extension therefore reproduces every matrix entry; ties are broken
-    by (start position, longer factor first, larger index first), matching
-    the natural left-to-right scan of w.
+    Entry (i, j) of that Parikh matrix counts chains of symbols i, .., j-1 in
+    increasing position order, and entry (i, j) of the minor counts chains of
+    occurrences of q_i, .., q_{j-1} each ending before the next starts.  So
+    the witness has to put the symbol of an occurrence A of q_l before that
+    of an occurrence B of q_{l+1} exactly when A ends before B starts.
 
-    The digraph is never built.  The symbols that must precede occurrence k
-    of q_l are occurrence k-1 of q_l, the occurrences of q_{l-1} that end
-    before it starts and the occurrences of q_{l+1} that start at or before
-    its end; the last two are prefixes of their start lists.  So only the
-    next unemitted occurrence of each factor can be ready, exactly when the
-    next unemitted occurrences of q_{l-1} and q_{l+1} lie outside those
-    prefixes, and ready occurrences belong to distinct factors, so they never
-    tie on the key.  After the start lists, the cost is O(N x) for N
-    occurrences in all.
-
-    (A bubble-sort-style repair restricted to overlapping pairs cannot do
-    this in general: for the pattern ba.a.b in the word "ba" the required
-    word is a3 a2 a1, but the symbols for q_2 and q_3 never overlap, so no
-    sweep may reorder them once the q_1/q_2 swap puts them the wrong way.)
+    An occurrence of q_l starting at s gets the key 2(s - L) + l - 1, where L
+    is the number of letters in q_1..q_{l-1}, and the witness lists the
+    factor indices in key order, ties broken by start:
+      - key(A) < key(B) exactly when 2(s_A + |q_l|) < 2 s_B + 1, that is,
+        when A ends before B starts;
+      - keys of adjacent factors differ in parity, so they never tie;
+      - the keys of one factor's occurrences follow their starts.
+    Key and start together never tie (equal starts on q_l and q_m, l < m,
+    would need 2(L_m - L_l) = m - l, yet L_m - L_l >= m - l), so the sort
+    never compares factor indices.  After the start lists, the cost is one
+    sort of the N occurrences.
     """
-    factors = pattern.factors
-    x = len(factors)
-    occurrences = [factor_starts(w, q) for q in factors]
-    # factors 1..x between two empty levels; head[l] is the start of the next
-    # unemitted occurrence of q_l, or inf once none is left
-    starts = [iter(()), *map(iter, occurrences), iter(())]
-    head = [next(it, inf) for it in starts]
-    size = [0, *map(len, factors), 0]
-    word: list[int] = []
-    for _ in range(sum(map(len, occurrences))):
-        # the next q_{l-1} occurrence must not end before head[l], and the
-        # next q_{l+1} one must start after it ends; inf is never ready
-        ready = [
-            (head[l], -size[l], -l)
-            for l in range(1, x + 1)
-            if head[l - 1] + size[l - 1] > head[l]
-            and head[l + 1] >= head[l] + size[l]
-        ]
-        if not ready:
-            raise RuntimeError(
-                "witness orientation graph has a cycle; this indicates a bug in "
-                "the construction, not an input problem"
-            )
-        level = -min(ready)[2]
-        head[level] = next(starts[level], inf)
-        word.append(level)
-    return tuple(word)
+    keyed = []
+    offset = 0
+    for l, q in enumerate(pattern.factors, 1):
+        keyed += [(2 * (s - offset) + l - 1, s, l) for s in factor_starts(w, q)]
+        offset += len(q)
+    return tuple(l for _, _, l in sorted(keyed))
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ def block_dim(pattern: GapPattern) -> int:
     return d
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SeqMatrix:
     """A pattern together with its 3(L-1)-dimensional matrix image."""
 

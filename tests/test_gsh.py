@@ -804,10 +804,11 @@ class TestLinearFormBasics:
 
     def test_terms_refuse_assignment(self):
         form = LinearForm({("a", "a"): 2})
-        with pytest.raises(AttributeError):
-            form.terms = {}
-        with pytest.raises(AttributeError):
-            del form.terms
+        for name in ("terms", "other"):
+            with pytest.raises(AttributeError):
+                setattr(form, name, {})
+            with pytest.raises(AttributeError):
+                delattr(form, name)
         assert form == LinearForm({("a", "a"): 2})
 
     def test_equal_forms_hash_equal(self):
@@ -825,6 +826,8 @@ class TestLinearFormBasics:
             lambda: LinearForm({("a!",): 1}),
             lambda: LinearForm({("a",): 1, ("b", "•"): -1}),
             lambda: linearize_product(("a!",), ("b",)),
+            # a run that forms no cluster is refused all the same
+            lambda: red(("!",), ("a",)),
             # the monomial is refused before any of these can count it
             lambda: linearize(mono("a!") * mono("a!")),
             lambda: first_difference(mono("a!"), EPSILON, AB, 2),
@@ -832,7 +835,7 @@ class TestLinearFormBasics:
             lambda: evaluate(mono("a!"), "a"),
         ],
         ids=[
-            "mono", "Mono", "Mono-space", "LinearForm", "LinearForm-bullet", "product",
+            "mono", "Mono", "Mono-space", "LinearForm", "LinearForm-bullet", "product", "red",
             "linearize", "first_difference", "equivalent_bounded", "evaluate",
         ],
     )

@@ -192,9 +192,9 @@ class TestJson:
 class TestValueType:
     def test_fields_refuse_assignment(self):
         m = IntMatrix([[1, 2], [3, 4]])
-        for name in ("rows", "dim"):
+        for name in ("rows", "dim", "other"):
             with pytest.raises(AttributeError):
-                setattr(m, name, getattr(m, name))
+                setattr(m, name, getattr(m, name, None))
             with pytest.raises(AttributeError):
                 delattr(m, name)
         assert m.rows == ((1, 2), (3, 4)) and m.dim == 2

@@ -155,9 +155,13 @@ class TestWitnessWord:
             ("a.aba.a", "ababa", (3, 3, 2, 1, 3, 2, 1, 1)),
             ("abc.bca.cab.acb", "abcabca", (3, 2, 1, 2, 1)),
             ("a.aa.a", "aaa", (3, 3, 2, 1, 3, 2, 1, 1)),
-            # equal starts on non-adjacent factors: longer first, then larger
+            # equal starts on non-adjacent factors: the smaller key first
             ("a.b.ab", "abab", (3, 1, 2, 3, 1, 2)),
             ("a.b.a", "aba", (3, 1, 2, 3, 1)),
+            # q_1 and q_3 are not adjacent, so nothing orients their symbols:
+            # the key puts these q_3 occurrences before earlier q_1 ones
+            ("a.bab.b", "babb", (3, 3, 2, 3, 1)),
+            ("a.bb.a", "aa", (3, 3, 1, 1)),
         ],
     )
     def test_pinned_order(self, text, w, expected):
@@ -172,15 +176,15 @@ class TestWitnessWord:
             ),
             (
                 "aba.bba.aab", "ab", 2, 734,
-                "63f20c3faae802ea56897e6508fe083565abda9f4ca82a5f483b118fa0ca0049",
+                "c1876112294d8e7628efd48990c7f6dd00534cae739a34488b63b611611bc56c",
             ),
             (
                 "abc.bca.cab.acb", "abc", 3, 276,
-                "b011c7ef4b84cfab8e710d3a274ef1bd97d61c882229cf1cbed6e72b7f684be9",
+                "92ee82cacf664957b19f8e83eff050fbf04b07e5000fec0fa979355c90bf7f4a",
             ),
             (
                 "ab.ab.ab", "ab", 4, 1494,
-                "6c9fccc8735ba988cb1b932e82f579ac34b17f634cb0b0e12e206b88a9e01f0d",
+                "c0399c1e2e3810ccd7d2a93a3697a9800a9724e425d01572dbc1e3c738378301",
             ),
             (
                 "a.aa.a", "ab", 5, 2623,
@@ -233,6 +237,36 @@ class TestWitnessWord:
             w = random_word(rng, "abc", 10)
             witness, minor, ok = verify_witness(q, w)
             assert ok, (q.render(), w, witness)
+
+    def test_orientation_rule(self):
+        # the k-th symbol l of the witness stands for the k-th occurrence of
+        # q_l; then one factor's symbols follow its starts, and of adjacent
+        # factors an occurrence A of q_l precedes an occurrence B of q_{l+1}
+        # exactly when A ends before B starts
+        rng = random.Random(43)
+        absent = 0
+        for _ in range(400):
+            alphabet = rng.choice(("a", "ab", "abc"))
+            q = random_pattern(rng, alphabet, max_factors=5)
+            w = random_word(rng, alphabet, 14)
+            starts = [
+                [i + 1 for i in range(len(w)) if w.startswith(f, i)] for f in q.factors
+            ]
+            absent += sum(not s for s in starts)
+            seen = [0] * len(starts)
+            symbols = []
+            for l in witness_word(q, w):
+                symbols.append((l, starts[l - 1][seen[l - 1]]))
+                seen[l - 1] += 1
+            assert seen == [len(s) for s in starts]
+            for (l, s), (m, t) in combinations(symbols, 2):
+                if m == l:
+                    assert s < t
+                elif m == l + 1:
+                    assert s + len(q.factors[l - 1]) <= t, (q.render(), w)
+                elif m == l - 1:
+                    assert t + len(q.factors[m - 1]) > s, (q.render(), w)
+        assert absent
 
     def test_letter_counts_match_factor_counts(self):
         rng = random.Random(42)

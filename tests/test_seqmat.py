@@ -204,9 +204,9 @@ class TestSequenceMatrix:
 
     def test_fields_refuse_assignment(self):
         sm = seq_matrix(AB_C, "babcab")
-        for name in ("pattern", "matrix"):
+        for name in ("pattern", "matrix", "other"):
             with pytest.raises(AttributeError):
-                setattr(sm, name, getattr(sm, name))
+                setattr(sm, name, getattr(sm, name, None))
             with pytest.raises(AttributeError):
                 delattr(sm, name)
 
