@@ -1,9 +1,9 @@
 """Seeded property suites: the engine behind the `verify` subcommand.
 
-Each suite draws cases from a per-iteration RNG derived deterministically
-from the master seed, so the case sequence is reproducible regardless of
-execution order.  On failure the offending case is shrunk greedily (letter
-deletions, factor drops) before being reported.
+Every suite but `gsh` is a property of a pattern and its words, run by one
+case driver, _run_cases: it draws each case from a per-iteration RNG derived
+from the master seed (reproducible in any execution order) and shrinks a
+failing pattern, then each word, before reporting them.
 """
 
 from __future__ import annotations
@@ -123,6 +123,30 @@ def _fold_holds(pattern: GapPattern, w: str) -> bool:
     return seq_matrix(pattern, w) == seq_matrix_direct(pattern, w)
 
 
+def _entries_hold(pattern: GapPattern, w: str) -> bool:
+    """Classic matrix entries count subwords, over the letters the case
+    uses; sequence-matrix cells at the special-minor indices count gapped
+    subsequences."""
+    alphabet = Alphabet(tuple(sorted(set(pattern.flat + w))))
+    ctx = ParikhContext.classic(alphabet)
+    mat = parikh_matrix(ctx, w)
+    k = len(alphabet)
+    v = ctx.inducing
+    for i in range(1, k + 1):
+        for j in range(i, k + 1):
+            if mat.entry(i, j + 1) != count_subword(w, v[i - 1 : j]):
+                return False
+    idx = minor_index_set(pattern)
+    full = seq_matrix(pattern, w).matrix
+    x = len(pattern.factors)
+    for i in range(1, x + 1):
+        for j in range(i, x + 1):
+            expected = count_gapped(w, pattern.factor_slice(i, j))
+            if full.entry(idx[i - 1], idx[j]) != expected:
+                return False
+    return True
+
+
 def _witness_holds(pattern: GapPattern, w: str) -> bool:
     """Witness reduction: the witness's Parikh matrix equals the special
     minor, and both minor constructions agree."""
@@ -147,6 +171,7 @@ def _minors_holds(pattern: GapPattern, w: str) -> bool:
 _CASE_SUITES: dict[str, tuple[Callable[..., bool], tuple[str, ...], int, int]] = {
     "homomorphism": (_homomorphism_holds, ("w1", "w2"), 20, 2),
     "fold": (_fold_holds, ("w",), 20, 2),
+    "entries": (_entries_hold, ("w",), 12, 2),
     "witness": (_witness_holds, ("w",), 10, 1),
     "minors": (_minors_holds, ("w",), 10, 1),
 }
@@ -171,50 +196,6 @@ def _run_cases(suite: str, seed: int, iters: int) -> FuzzReport:
         text = " ".join(f"{name}={w!r}" for name, w in zip(names, words))
         return FuzzReport(suite, i + 1, False, f"pattern={pattern} {text}")
     return FuzzReport(suite, iters, True)
-
-
-def run_entry_law(seed: int, iters: int) -> FuzzReport:
-    """Classic matrix entries count subwords; sequence-matrix cells at the
-    special-minor indices count gapped subsequences."""
-
-    def classic_holds(alphabet: Alphabet, w: str) -> bool:
-        ctx = ParikhContext.classic(alphabet)
-        mat = parikh_matrix(ctx, w)
-        k = len(alphabet)
-        v = ctx.inducing
-        for i in range(1, k + 1):
-            for j in range(i, k + 1):
-                if mat.entry(i, j + 1) != count_subword(w, v[i - 1 : j]):
-                    return False
-        return True
-
-    def gapped_holds(pattern: GapPattern, w: str) -> bool:
-        idx = minor_index_set(pattern)
-        full = seq_matrix(pattern, w).matrix
-        x = len(pattern.factors)
-        for i in range(1, x + 1):
-            for j in range(i, x + 1):
-                expected = count_gapped(w, pattern.factor_slice(i, j))
-                if full.entry(idx[i - 1], idx[j]) != expected:
-                    return False
-        return True
-
-    for i in range(iters):
-        rng = _rng(seed, "entries", i)
-        alphabet = random_alphabet(rng)
-        w = random_word(rng, alphabet, 12)
-        if not classic_holds(alphabet, w):
-            w = _shrink_word(w, lambda v: not classic_holds(alphabet, v))
-            return FuzzReport(
-                "entries", i + 1, False, f"classic alphabet={alphabet} w={w!r}"
-            )
-        pattern = random_pattern(rng, alphabet, min_flat=2)
-        if not gapped_holds(pattern, w):
-            w = _shrink_word(w, lambda v: not gapped_holds(pattern, v))
-            return FuzzReport(
-                "entries", i + 1, False, f"pattern={pattern} w={w!r}"
-            )
-    return FuzzReport("entries", iters, True)
 
 
 GSH_SUITE = (
@@ -267,14 +248,12 @@ def _words_through(w: str, alphabet: Alphabet) -> int:
     return sum(k**n for n in range(len(w))) + rank + 1
 
 
-SUITES = ("homomorphism", "fold", "entries", "witness", "minors", "gsh")
+SUITES = (*_CASE_SUITES, "gsh")
 
 
 def run_suite(name: str, seed: int, iters: int, max_len: int) -> FuzzReport:
     if name in _CASE_SUITES:
         return _run_cases(name, seed, iters)
-    if name == "entries":
-        return run_entry_law(seed, iters)
     if name == "gsh":
         return run_gsh(max_len)
     raise ValueError(f"unknown suite {name!r}")

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from itertools import accumulate, product as iter_product
 from math import prod
-from operator import mul
+from operator import index, mul
 from typing import Callable, Iterator, Union
 
 from .counting import gapped_prefix_counts
@@ -63,7 +63,7 @@ class Expr:
         return Prod((self, other))
 
     def __rmul__(self, coeff: int) -> Expr:
-        return Scale(int(coeff), self)
+        return Scale(coeff, self)
 
 
 @dataclass(frozen=True)
@@ -115,6 +115,9 @@ class Scale(Expr):
     coeff: int
     inner: Expr
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "coeff", index(self.coeff))
+
     def __str__(self) -> str:
         # parse_expr takes '-' only before a sum's first term or in place of
         # '+', so a negative coefficient is written as "(-3(x))"
@@ -139,7 +142,7 @@ class LinearForm:
         clean: dict[Monomial, int] = {}
         for m, c in (self.terms or {}).items():
             key = m if all(m) else canonical_mono(m)
-            clean[key] = clean.get(key, 0) + c
+            clean[key] = clean.get(key, 0) + index(c)
         check_symbols("".join(map("".join, clean)), _BAD_SYMBOL)
         object.__setattr__(self, "terms", {m: c for m, c in clean.items() if c})
 
@@ -409,40 +412,27 @@ def equivalent_bounded(
 ) -> tuple[bool, str | None]:
     """Exhaustive evaluation oracle: (False, first differing word) or
     (True, None), over every word of length <= max_len, in shortlex order
-    (shorter first, then alphabet order).
-    The words are walked as a trie by first_difference, which updates each
-    monomial's count from the node's ancestors instead of recounting it per
-    word (cost per trie node in its docstring).  Raises ValueError, before
-    evaluating anything, when there are more than MAX_BOUNDED_WORDS words to
-    try or more than MAX_BOUNDED_WORDS * MAX_BOUNDED_WORDS.bit_length()
-    letters in them, and when max_len is negative."""
+    (shorter first, then alphabet order), walked as a trie by
+    first_difference (cost per trie node in its docstring).  Raises
+    ValueError when max_len is negative, and, before evaluating anything, at
+    the first length n whose words so far pass MAX_BOUNDED_WORDS or whose
+    letters pass MAX_BOUNDED_WORDS times its bit length: by n = 19 for k >= 2
+    letters, by n = 6325 for one."""
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     k = len(alphabet.symbols)
-    if k > 1 and max_len >= MAX_BOUNDED_WORDS.bit_length():
-        # over 2**max_len words, past the cap: skip building the exact sum
-        count = f"more than {k}**{max_len}"
-    else:
-        count = max_len + 1 if k == 1 else (k ** (max_len + 1) - 1) // (k - 1)
-        if count <= MAX_BOUNDED_WORDS:
-            count = None
-    if count is not None:
-        raise ValueError(
-            f"bounded check over {count} words (length <= {max_len}, "
-            f"{k}-letter alphabet) exceeds the cap of {MAX_BOUNDED_WORDS}"
-        )
-    # the word cap alone lets one letter reach maxlen ~10**6, ~5 * 10**11
-    # letters.  With k >= 2 letters, 2**(maxlen+1) - 1 <= words <= cap < 2**B
-    # for B = MAX_BOUNDED_WORDS.bit_length(), so maxlen < B and the letters,
-    # at most maxlen * words, stay under B * cap.  Only one letter can pass
-    # it, with 0 + 1 + ... + maxlen letters in its words
     letter_cap = MAX_BOUNDED_WORDS * MAX_BOUNDED_WORDS.bit_length()
-    letters = max_len * (max_len + 1) // 2
-    if k == 1 and letters > letter_cap:
-        raise ValueError(
-            f"bounded check over {letters} letters (length <= {max_len}, "
-            f"{k}-letter alphabet) exceeds the cap of {letter_cap}"
-        )
+    words = letters = 0
+    for n in range(max_len + 1):
+        words += k**n
+        letters += n * k**n
+        if words > MAX_BOUNDED_WORDS or letters > letter_cap:
+            over = words > MAX_BOUNDED_WORDS
+            cap = f"{MAX_BOUNDED_WORDS} words" if over else f"{letter_cap} letters"
+            raise ValueError(
+                f"bounded check (length <= {max_len}, {k}-letter alphabet) exceeds "
+                f"the cap of {cap} at length {n}: {words} words, {letters} letters"
+            )
     w = first_difference(e1, e2, alphabet, max_len)
     return w is None, w
 

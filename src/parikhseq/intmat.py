@@ -12,18 +12,20 @@ elimination (exact, O(n^3), no rational intermediates).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import index
 from typing import Iterable
 
 
 @dataclass(frozen=True, repr=False)
 class IntMatrix:
-    """Immutable square matrix of exact integers, from any rows of ints."""
+    """Immutable square matrix of exact integers, from any rows of ints; a
+    float, string or other non-integer entry raises TypeError."""
 
     rows: tuple[tuple[int, ...], ...]
     dim: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        frozen = tuple(tuple(map(int, row)) for row in self.rows)
+        frozen = tuple(tuple(map(index, row)) for row in self.rows)
         n = len(frozen)
         if n == 0:
             raise ValueError("matrix must have at least one row")

@@ -100,14 +100,14 @@ class TestSuites:
                 fuzz.FuzzReport("homomorphism", 1, False, "pattern=bb w1='ab' w2='ab'"),
                 fuzz.FuzzReport("fold", 1, False, "pattern=ab w='ab'"),
                 fuzz.FuzzReport("witness", 1, False, "pattern=bb w='ab'"),
-                fuzz.FuzzReport("entries", 1, False, "pattern=cbb w='ab'"),
+                fuzz.FuzzReport("entries", 3, False, "pattern=bb w='ab'"),
             ]),
             # rarer failures pin the order of the cases drawn before them
             ("cab", [
                 fuzz.FuzzReport("homomorphism", 31, False, "pattern=aa w1='cab' w2='cab'"),
                 fuzz.FuzzReport("fold", 34, False, "pattern=cb w='cab'"),
                 fuzz.FuzzReport("witness", 2, False, "pattern=cc w='cab'"),
-                fuzz.FuzzReport("entries", 1, False, "pattern=cbb w='cab'"),
+                fuzz.FuzzReport("entries", 20, False, "pattern=cc w='cab'"),
             ]),
         ],
     )
@@ -121,6 +121,25 @@ class TestSuites:
         monkeypatch.setattr(fuzz, "seq_matrix", wrong_on_infix)
         reports = [fuzz.run_suite(r.suite, 3, 200, 5) for r in expected]
         assert reports == expected
+
+    @pytest.mark.parametrize(
+        "infix, expected",
+        [
+            ("ab", fuzz.FuzzReport("entries", 3, False, "pattern=bb w='ab'")),
+            # the pattern's letters join the classic alphabet, so the corner
+            # entry counts abc in b; the pattern stays at the least flat length
+            ("b", fuzz.FuzzReport("entries", 1, False, "pattern=ac w='b'")),
+        ],
+    )
+    def test_classic_entry_failure_reports(self, monkeypatch, infix, expected):
+        parikh_matrix = fuzz.parikh_matrix
+
+        def wrong_on_infix(ctx, w):
+            mat = parikh_matrix(ctx, w)
+            return _off_by_one(mat) if infix in w else mat
+
+        monkeypatch.setattr(fuzz, "parikh_matrix", wrong_on_infix)
+        assert fuzz.run_suite("entries", 3, 200, 5) == expected
 
     @pytest.mark.parametrize(
         "infix, expected",

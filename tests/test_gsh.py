@@ -2,6 +2,7 @@ import math
 import random
 import time
 import tracemalloc
+from decimal import Decimal
 from itertools import islice
 
 import pytest
@@ -197,6 +198,15 @@ class TestEvaluate:
     def test_operator_building(self):
         e = 2 * mono("a", "a") + mono("a")
         assert evaluate(e, "aa") == 2 * 1 + 2
+
+    @pytest.mark.parametrize("coeff", [2.5, 2.0, "2", Decimal(2)])
+    def test_non_integer_scale_refused(self, coeff):
+        with pytest.raises(TypeError):
+            Scale(coeff, mono("a"))
+        with pytest.raises(TypeError):
+            coeff * mono("a")
+        scaled = True * mono("a")
+        assert scaled == Scale(1, mono("a")) and type(scaled.coeff) is int
 
 
 class TestGroundShuffle:
@@ -583,19 +593,24 @@ class TestEquivalence:
 
     def test_bounded_word_cap(self):
         e = parse_expr("a")
-        # one letter: max_len + 1 words, counted exactly
-        with pytest.raises(ValueError, match="1000001 words"):
+        # one letter: 0 + 1 + ... + 6325 letters pass the letter cap long
+        # before max_len + 1 words pass the word cap
+        letters = "cap of 20000000 letters at length 6325: 6326 words"
+        with pytest.raises(ValueError, match=letters):
             equivalent_bounded(e, e, Alphabet.parse("a"), gsh.MAX_BOUNDED_WORDS)
-        # two letters, huge bound: refused without building 2**(max_len+1)
-        with pytest.raises(ValueError, match=r"more than 2\*\*1000000000 words"):
+        # two letters, huge bound: 2**20 - 1 words pass the cap at length 19,
+        # and no longer length is counted
+        words = "cap of 1000000 words at length 19: 1048575 words"
+        with pytest.raises(ValueError, match=words):
             equivalent_bounded(e, e, AB, 10**9)
 
     def test_bounded_letter_cap(self):
         e = parse_expr("a")
         # 10**6 words of length <= 999999 pass the word cap, but they hold
-        # ~5 * 10**11 letters
+        # ~5 * 10**11 letters; the letters pass the cap at length 6325
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="499999500000 letters"):
+        message = "cap of 20000000 letters at length 6325: 6326 words, 20005975 letters"
+        with pytest.raises(ValueError, match=message):
             equivalent_bounded(e, e, Alphabet.parse("a"), 999_999)
         assert time.perf_counter() - start < 1.0
 
@@ -604,6 +619,23 @@ class TestEquivalence:
         # no word has a negative length; the empty word must not be returned
         with pytest.raises(ValueError, match="max_len must be >= 0, got -1"):
             equivalent_bounded(parse_expr("#e"), parse_expr("a"), Alphabet.parse(alphabet), -1)
+
+    @pytest.mark.parametrize(
+        "alphabet, longest, cap",
+        [
+            ("a", 6324, "20000000 letters"),
+            ("ab", 18, "1000000 words"),
+            ("abcdefghij", 5, "1000000 words"),
+        ],
+    )
+    def test_bounded_cap_boundaries(self, monkeypatch, alphabet, longest, cap):
+        # the caps alone decide: nothing is walked
+        monkeypatch.setattr(gsh, "first_difference", lambda *args: None)
+        e = parse_expr("a")
+        alpha = Alphabet.parse(alphabet)
+        assert equivalent_bounded(e, e, alpha, longest) == (True, None)
+        with pytest.raises(ValueError, match=f"cap of {cap} at length {longest + 1}:"):
+            equivalent_bounded(e, e, alpha, longest + 1)
 
     def test_bounded_letter_cap_is_inclusive(self, monkeypatch):
         # cap 15 words, 15 * 4 = 60 letters; maxlen 10 holds 55, maxlen 11 66
@@ -810,6 +842,12 @@ class TestLinearFormBasics:
             with pytest.raises(AttributeError):
                 delattr(form, name)
         assert form == LinearForm({("a", "a"): 2})
+
+    @pytest.mark.parametrize("coeff", [1.5, 2.0, "2", Decimal(2)])
+    def test_non_integer_coefficients_refused(self, coeff):
+        with pytest.raises(TypeError):
+            LinearForm({("a",): coeff})
+        assert LinearForm({("a",): True}).terms == {("a",): 1}
 
     def test_equal_forms_hash_equal(self):
         a = LinearForm({("a", "", "b"): 1, ("c",): 2, ("d",): 0})

@@ -1,5 +1,6 @@
 import json
 import random
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -205,6 +206,13 @@ class TestValueType:
         assert a == b and hash(a) == hash(b)
         assert a != IntMatrix([[1, 2], [3, 5]])
         assert len({a, b, IntMatrix([[1, 2], [3, 5]])}) == 2
+        assert type(b.rows[0][0]) is int
+
+    @pytest.mark.parametrize("entry", [2.5, 3.0, "3", Decimal(3)])
+    def test_non_integer_entries_refused(self, entry):
+        # an exact matrix is never rounded or parsed into one
+        with pytest.raises(TypeError):
+            IntMatrix([[1, entry], [0, 1]])
 
 
 class TestDiff:
