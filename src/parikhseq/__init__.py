@@ -25,22 +25,20 @@ from .intmat import IntMatrix
 from .minors import (
     MinorSweep,
     check_minor_nonneg,
-    minor_index_set,
     special_minor,
-    special_minor_from_matrix,
     verify_witness,
     witness_parikh_matrix,
     witness_text,
     witness_word,
 )
-from .parikh import ParikhContext, ParikhFold, letter_matrix, parikh_matrix, parikh_matrix_direct
+from .parikh import ParikhContext, ParikhFold, parikh_matrix, parikh_matrix_direct
 from .seqmat import (
     SeqFold,
     SeqMatrix,
-    factor_matrix,
+    minor_index_set,
     seq_matrix,
     seq_matrix_direct,
-    seq_matrix_letter,
+    special_minor_from_matrix,
 )
 from .words import (
     Alphabet,
@@ -69,9 +67,7 @@ __all__ = [
     "equivalent",
     "equivalent_bounded",
     "evaluate",
-    "factor_matrix",
     "factor_starts",
-    "letter_matrix",
     "linearize",
     "linearize_product",
     "minor_index_set",
@@ -83,7 +79,6 @@ __all__ = [
     "red",
     "seq_matrix",
     "seq_matrix_direct",
-    "seq_matrix_letter",
     "special_minor",
     "special_minor_from_matrix",
     "verify_witness",

@@ -28,15 +28,9 @@ from . import fuzz
 from .counting import count_factor, count_gapped, count_subword
 from .gsh import equivalent, equivalent_bounded, evaluate, linearize, parse_expr
 from .intmat import IntMatrix
-from .minors import (
-    minor_index_set,
-    special_minor,
-    special_minor_from_matrix,
-    verify_witness,
-    witness_text,
-)
+from .minors import special_minor, verify_witness, witness_text
 from .parikh import ParikhContext, ParikhFold, parikh_matrix_direct
-from .seqmat import SeqFold, seq_matrix, seq_matrix_direct
+from .seqmat import SeqFold, minor_index_set, seq_matrix, seq_matrix_direct, special_minor_from_matrix
 from .words import Alphabet, GapPattern, PatternError, check_symbols, parse_word
 
 # buffered words up to this length are cross-checked against the direct
@@ -117,29 +111,21 @@ def cmd_matrix(args) -> int:
     head: dict = {}  # payload fields before "length"
     tail: dict = {}  # and after it
     if args.kind in ("classic", "extended"):
-        if args.alphabet is None:
-            raise PatternError(f"matrix {args.kind} requires --alphabet")
         alphabet = Alphabet.parse(args.alphabet)
         if args.kind == "classic":
             mapping = ParikhContext.classic(alphabet)
         else:
-            if args.inducing is None:
-                raise PatternError("matrix extended requires --inducing")
             mapping = ParikhContext(alphabet, parse_word(args.inducing, alphabet))
             tail["inducing"] = mapping.inducing
         head["alphabet"] = str(alphabet)
         fold, direct = ParikhFold(mapping), parikh_matrix_direct
     else:
         if args.kind == "factor":
-            if args.alphabet is None:
-                raise PatternError("matrix factor requires --alphabet")
             sigma = Alphabet.parse(args.alphabet).concat()
             mapping = GapPattern((sigma,))
             if len(sigma) < 2:
                 raise PatternError("matrix factor needs an alphabet of size >= 2")
         else:
-            if args.pattern is None:
-                raise PatternError("matrix sequence requires --pattern")
             mapping = GapPattern.parse(args.pattern)
         head["pattern"] = mapping.render()
         # SeqFold rejects flat length < 2 before any input is consumed
@@ -213,7 +199,8 @@ def cmd_gsh(args) -> int:
         linear = linearize(parse_expr(args.expr))
         _emit(args, {"terms": linear.to_json_list()}, [linear.render()])
         return 0
-    # equiv: canonical verdict plus the exhaustive bounded oracle
+    # equiv: canonical verdict (every alphabet) plus the exhaustive bounded
+    # one; only a counterexample to a canonical "equivalent" exits 1
     _at_least(args.maxlen, 0, "--maxlen")
     e1 = parse_expr(args.expr)
     e2 = parse_expr(args.expr2)
@@ -233,12 +220,19 @@ def cmd_gsh(args) -> int:
     if cex is not None:
         lines.append(f"counterexample: {cex!r}")
     _emit(args, payload, lines)
-    if canonical != bounded:
+    if canonical and not bounded:
         print(
             "disagreement: canonical linear forms and bounded evaluation differ",
             file=sys.stderr,
         )
         return 1
+    if bounded and not canonical:
+        print(
+            f"note: the bounded verdict covers only words over {alphabet} (--alphabet) "
+            f"up to length {args.maxlen} (--maxlen); the canonical verdict covers "
+            "every alphabet",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -310,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p_kind = matrix_sub.add_parser(kind)
         for flag in flags:
-            p_kind.add_argument(flag)
+            p_kind.add_argument(flag, required=True)
         _add_word_args(p_kind)
         p_kind.set_defaults(func=cmd_matrix, kind=kind)
 

@@ -14,16 +14,9 @@ from typing import Callable
 
 from . import gsh
 from .counting import count_gapped, count_subword
-from .minors import (
-    check_minor_nonneg,
-    minor_index_set,
-    special_minor,
-    special_minor_from_matrix,
-    witness_parikh_matrix,
-    witness_word,
-)
+from .minors import check_minor_nonneg, special_minor, witness_parikh_matrix, witness_word
 from .parikh import ParikhContext, parikh_matrix
-from .seqmat import seq_matrix, seq_matrix_direct
+from .seqmat import minor_index_set, seq_matrix, seq_matrix_direct, special_minor_from_matrix
 from .words import Alphabet, GapPattern
 
 LETTER_POOL = "abc"

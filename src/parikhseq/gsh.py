@@ -156,7 +156,7 @@ class LinearForm:
         return hash(frozenset(self.terms.items()))
 
     def evaluate(self, w: str) -> int:
-        return _value(self, w)
+        return evaluate(self, w)
 
     def render(self) -> str:
         if not self.terms:
@@ -201,29 +201,24 @@ def _mono_value(m: Monomial, w: str) -> int:
     return gapped_prefix_counts(w, m)[-1]
 
 
-def _value(e: Union[Expr, LinearForm], w: str) -> int:
+def evaluate(e: Union[Expr, LinearForm], w: str) -> int:
     """Value of an expression or linear form in w."""
     if isinstance(e, LinearForm):
         return sum(c * _mono_value(m, w) for m, c in e.terms.items())
     if isinstance(e, Mono):
         return _mono_value(e.factors, w)
     if isinstance(e, Neg):
-        return -_value(e.inner, w)
+        return -evaluate(e.inner, w)
     if isinstance(e, Sum):
-        return sum(_value(t, w) for t in e.terms)
+        return sum(evaluate(t, w) for t in e.terms)
     if isinstance(e, Prod):
         value = 1
         for p in e.parts:
-            value *= _value(p, w)
+            value *= evaluate(p, w)
         return value
     if isinstance(e, Scale):
-        return e.coeff * _value(e.inner, w)
+        return e.coeff * evaluate(e.inner, w)
     raise TypeError(f"not an expression: {e!r}")
-
-
-def evaluate(e: Union[Expr, LinearForm], w: str) -> int:
-    """Value of an expression or linear form in w."""
-    return _value(e, w)
 
 
 def _first_clusters(p: Monomial, q: Monomial) -> dict[tuple[int, int], dict[str, int]]:

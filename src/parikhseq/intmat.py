@@ -99,15 +99,8 @@ class IntMatrix:
             prev = m[k][k]
         return sign * m[n - 1][n - 1]
 
-    def is_upper_triangular(self) -> bool:
-        return all(
-            self.rows[i][j] == 0 for i in range(self.dim) for j in range(i)
-        )
-
     def is_unit_upper_triangular(self) -> bool:
-        return self.is_upper_triangular() and all(
-            self.rows[i][i] == 1 for i in range(self.dim)
-        )
+        return all(row[:i] == (0,) * i and row[i] == 1 for i, row in enumerate(self.rows))
 
     def to_json_dict(self) -> dict:
         """JSON form: entries as decimal strings to survive big integers."""
@@ -115,13 +108,6 @@ class IntMatrix:
             "dim": self.dim,
             "rows": [[str(v) for v in row] for row in self.rows],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> IntMatrix:
-        mat = cls([[int(v) for v in row] for row in data["rows"]])
-        if mat.dim != int(data["dim"]):
-            raise ValueError("dim field disagrees with row count")
-        return mat
 
     def __str__(self) -> str:
         width = max(len(str(v)) for row in self.rows for v in row)

@@ -2,10 +2,11 @@
 
 The special minor of a pattern with factors q_1 .. q_x in a word w is the
 (x+1) x (x+1) unit upper-triangular matrix whose (i, j) entry above the
-diagonal counts q_i . ... . q_{j-1} in w.  It equals the principal submatrix
-of the full sequence matrix on the index set {1} union {(L-1) + l_m} union
-{3(L-1)}, and it is always the classic Parikh matrix of a witness word over
-a derived x-letter alphabet, which makes every minor determinant
+diagonal counts q_i . ... . q_{j-1} in w.  It equals a principal submatrix
+of the full sequence matrix; the index set (minor_index_set) and that
+extraction route (special_minor_from_matrix) live in seqmat, next to the
+block layout.  It is always the classic Parikh matrix of a witness word
+over a derived x-letter alphabet, which makes every minor determinant
 nonnegative.  The witness is the factor occurrences sorted on one integer
 key each (see witness_word).
 """
@@ -19,14 +20,7 @@ from itertools import combinations
 from .counting import factor_starts, gapped_prefix_counts
 from .intmat import IntMatrix
 from .parikh import subword_matrix
-from .seqmat import SeqMatrix, block_dim
 from .words import GapPattern
-
-
-def minor_index_set(pattern: GapPattern) -> tuple[int, ...]:
-    """1-based row/column indices of the special minor inside the full matrix."""
-    d = block_dim(pattern)
-    return (1, *[d + l for l in sorted(pattern.boundaries)], 3 * d)
 
 
 def special_minor(pattern: GapPattern, w: str) -> IntMatrix:
@@ -39,12 +33,6 @@ def special_minor(pattern: GapPattern, w: str) -> IntMatrix:
     starts = cache(factor_starts)
     rows = range(len(factors) + 1)
     return IntMatrix([[0] * i + gapped_prefix_counts(w, factors[i:], starts) for i in rows])
-
-
-def special_minor_from_matrix(sm: SeqMatrix) -> IntMatrix:
-    """Extraction route: principal submatrix of a sequence matrix."""
-    idx = minor_index_set(sm.pattern)
-    return sm.matrix.minor(idx, idx)
 
 
 def witness_text(witness: tuple[int, ...], x: int) -> str:

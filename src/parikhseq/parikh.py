@@ -50,14 +50,6 @@ def subword_matrix(inducing: Sequence[Hashable], w: Sequence[Hashable]) -> IntMa
     return IntMatrix([[0] * i + subword_prefix_counts(w, inducing[i:]) for i in rows])
 
 
-def letter_matrix(ctx: ParikhContext, letter: str) -> IntMatrix:
-    """Image of a single letter: unit upper triangular with a 1 at (q, q+1)
-    for every inducing-word position q holding that letter."""
-    if letter not in ctx.alphabet:
-        raise PatternError(f"symbol {letter!r} not in alphabet {ctx.alphabet}")
-    return subword_matrix(ctx.inducing, letter)
-
-
 class ParikhFold(PackedFold):
     """Streaming left-to-right fold of letter matrices.
 

@@ -61,15 +61,11 @@ class SeqMatrix:
                 f"matrix dim {self.matrix.dim} does not match pattern dim {3 * d}"
             )
 
-    @property
-    def dim_block(self) -> int:
-        return self.matrix.dim // 3
-
     def block(self, name: str) -> IntMatrix:
         """Named (L-1) x (L-1) block: E, F, C, or S."""
         if name not in BLOCKS:
             raise ValueError(f"unknown block {name!r}")
-        d = self.dim_block
+        d = self.matrix.dim // 3
         r0, c0 = (d * k for k in BLOCKS[name])
         return IntMatrix(
             [row[c0 : c0 + d] for row in self.matrix.rows[r0 : r0 + d]]
@@ -94,6 +90,20 @@ def _assemble(pattern: GapPattern, core: Sequence[Sequence[int]]) -> SeqMatrix:
     rows += [(*zero, *row) for row in core[d:]]
     rows += [(*zero, *zero, *u) for u in unit]
     return SeqMatrix(pattern, IntMatrix(rows))
+
+
+def minor_index_set(pattern: GapPattern) -> tuple[int, ...]:
+    """1-based indices of the special minor inside the full matrix: row 1
+    (top I), row d + l (in C) for each boundary l, row 3d (bottom I)."""
+    d = block_dim(pattern)
+    return (1, *[d + l for l in sorted(pattern.boundaries)], 3 * d)
+
+
+def special_minor_from_matrix(sm: SeqMatrix) -> IntMatrix:
+    """Extraction route to the special minor: the principal submatrix of a
+    sequence matrix on minor_index_set."""
+    idx = minor_index_set(sm.pattern)
+    return sm.matrix.minor(idx, idx)
 
 
 def seq_matrix_direct(pattern: GapPattern, w: str) -> SeqMatrix:
@@ -124,12 +134,6 @@ def seq_matrix_direct(pattern: GapPattern, w: str) -> SeqMatrix:
         diag = 1 if i in b else int(not w)
         lower.append(zero + [diag] + ends[: d - i] + zero + free)
     return _assemble(pattern, upper + lower)
-
-
-def seq_matrix_letter(pattern: GapPattern, letter: str) -> IntMatrix:
-    """Generator matrix of a single letter."""
-    check_letter(letter, "invalid letter {!r}")
-    return seq_matrix_direct(pattern, letter).matrix
 
 
 class SeqFold(PackedFold):
@@ -212,8 +216,3 @@ def seq_matrix(pattern: GapPattern, letters: Union[str, Iterable[str]]) -> SeqMa
     fold.extend(letters)
     return fold.result()
 
-
-def factor_matrix(sigma: str, w: str) -> SeqMatrix:
-    """Factor-counting special case: the bullet-free pattern [sigma], so
-    block_dim rejects |sigma| < 2 as for any pattern."""
-    return seq_matrix(GapPattern((sigma,)), w)

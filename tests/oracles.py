@@ -11,7 +11,8 @@ The witness fold renders factor indices as letters and folds their Parikh
 matrix, the oracle for `parikhseq.minors.witness_parikh_matrix`, which
 counts on the indices directly.  The small accessors after them (identity matrix, matrix cell
 diff, symbol index, pattern letter, induced Parikh context, the forms of a
-fold's cached steps) serve only test code.  The generalized subword history helpers at
+fold's cached steps, single-letter and factor matrices, the JSON matrix
+reader, the triangularity test) serve only test code.  The generalized subword history helpers at
 the end are the ground shuffle, the interleaving test, the junction
 reduction by enumeration of joint placements, the oracle for
 `parikhseq.gsh.red`, the merge-scheme enumeration built on it, the oracle for
@@ -36,9 +37,16 @@ from parikhseq.gsh import (
 )
 from parikhseq.intmat import IntMatrix
 from parikhseq.packed import PackedFold
-from parikhseq.parikh import ParikhContext, parikh_matrix
-from parikhseq.seqmat import BLOCKS, SeqMatrix, _assemble, block_dim
-from parikhseq.words import Alphabet, GapPattern, PatternError
+from parikhseq.parikh import ParikhContext, parikh_matrix, subword_matrix
+from parikhseq.seqmat import (
+    BLOCKS,
+    SeqMatrix,
+    _assemble,
+    block_dim,
+    seq_matrix,
+    seq_matrix_direct,
+)
+from parikhseq.words import Alphabet, GapPattern, PatternError, check_letter
 
 
 def enum_subword(w: str, u: str) -> int:
@@ -243,6 +251,38 @@ def step_forms(fold: PackedFold) -> set[str]:
     """The form of each step the fold has cached: "loop" (a closure over its
     plan) or "generated" (no free variables; units are defaults)."""
     return {"loop" if s.__closure__ else "generated" for s in fold._steps.values()}
+
+
+def letter_matrix(ctx: ParikhContext, letter: str) -> IntMatrix:
+    """Image of a single letter: unit upper triangular with a 1 at (q, q+1)
+    for every inducing-word position q holding that letter."""
+    if letter not in ctx.alphabet:
+        raise PatternError(f"symbol {letter!r} not in alphabet {ctx.alphabet}")
+    return subword_matrix(ctx.inducing, letter)
+
+
+def seq_matrix_letter(pattern: GapPattern, letter: str) -> IntMatrix:
+    """Sequence-matrix generator of a single letter."""
+    check_letter(letter, "invalid letter {!r}")
+    return seq_matrix_direct(pattern, letter).matrix
+
+
+def factor_matrix(sigma: str, w: str) -> SeqMatrix:
+    """Factor-counting special case: the bullet-free pattern [sigma], so
+    block_dim rejects |sigma| < 2 as for any pattern."""
+    return seq_matrix(GapPattern((sigma,)), w)
+
+
+def from_json_dict(data: dict) -> IntMatrix:
+    """Matrix read back from IntMatrix.to_json_dict (the CLI's JSON form)."""
+    mat = IntMatrix([[int(v) for v in row] for row in data["rows"]])
+    if mat.dim != int(data["dim"]):
+        raise ValueError("dim field disagrees with row count")
+    return mat
+
+
+def is_upper_triangular(m: IntMatrix) -> bool:
+    return all(m.rows[i][j] == 0 for i in range(m.dim) for j in range(i))
 
 
 def ground_shuffle(p: Monomial, q: Monomial) -> list[Monomial]:

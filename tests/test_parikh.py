@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import enum_subword, identity, induced_by, is_classic, step_forms
+from oracles import enum_subword, identity, induced_by, is_classic, letter_matrix, step_forms
 from parikhseq import packed
 from parikhseq.counting import count_subword
 from parikhseq.intmat import IntMatrix
@@ -13,7 +13,6 @@ from parikhseq.minors import check_minor_nonneg
 from parikhseq.parikh import (
     ParikhContext,
     ParikhFold,
-    letter_matrix,
     parikh_matrix,
     parikh_matrix_direct,
 )

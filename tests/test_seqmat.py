@@ -8,24 +8,25 @@ from oracles import (
     Piece,
     block_piece,
     enum_piece,
+    factor_matrix,
     identity,
     induced_by,
+    is_upper_triangular,
     seq_matrix_cells,
+    seq_matrix_letter,
     step_forms,
 )
 from parikhseq import packed
 from parikhseq.counting import count_gapped, fragment_counts
 from parikhseq.intmat import IntMatrix
-from parikhseq.minors import minor_index_set
 from parikhseq.parikh import parikh_matrix
 from parikhseq.seqmat import (
     BLOCKS,
     SeqFold,
     SeqMatrix,
-    factor_matrix,
+    minor_index_set,
     seq_matrix,
     seq_matrix_direct,
-    seq_matrix_letter,
 )
 from parikhseq.words import Alphabet, GapPattern, PatternError
 
@@ -461,7 +462,7 @@ class TestStructuralInvariants:
             q = random_pattern(rng, "ab")
             w = random_word(rng, "ab", 10)
             m = seq_matrix(q, w).matrix
-            assert m.is_upper_triangular()
+            assert is_upper_triangular(m)
             d = q.flat_length - 1
             for i in range(1, d + 1):
                 assert m.entry(i, i) == 1
