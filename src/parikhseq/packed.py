@@ -8,8 +8,12 @@ limb carries into the next, which the width rule below guarantees.
 A letter's update is a plan: (adds, steps, clears), run in that order.
 An add (dst, src) adds column src to column dst; a step
 (dst, src, keep, unit) sets column dst to cols[src] + unit, plus its old
-value if keep; a clear zeroes one column.  This module turns a plan into a
-callable of the column list in one of two forms (see PackedFold).
+value if keep, and to unit alone (plus its old value if keep) when src is
+None; a clear zeroes one column.  This module turns a plan into a callable
+of the column list in one of two forms (see PackedFold).
+
+A live mask says which columns hold their values: bit i set means column i
+does, bit i clear means the matrix column is zero whatever column i holds.
 """
 
 from __future__ import annotations
@@ -18,12 +22,19 @@ from typing import Callable, Iterable
 
 # (adds, steps, clears) as above
 Plan = tuple[
-    tuple[tuple[int, int], ...], tuple[tuple[int, int, bool, int], ...], tuple[int, ...]
+    tuple[tuple[int, int], ...],
+    tuple[tuple[int, int | None, bool, int], ...],
+    tuple[int, ...],
 ]
-Step = Callable[[list], None]
+# a step updates the column list and returns the live mask whose table
+# the next letter's step is looked up in
+Step = Callable[[list], int]
 
 # letters a fold runs through loop steps before it generates its steps
 _LOOP_LETTERS = 1024
+
+# every bit set: every column holds its value
+_ALL = -1
 
 
 def _run_bits(n: int) -> int:
@@ -32,11 +43,12 @@ def _run_bits(n: int) -> int:
     return max(n.bit_length(), 16)
 
 
-def loop_step(plan: Plan) -> Step:
-    """A closure that walks the plan's tuples on every call."""
+def loop_step(plan: Plan, live: int) -> Step:
+    """A closure that walks the plan's tuples on every call and returns
+    live.  Its steps read every source (src is never None)."""
     adds, steps, clears = plan
 
-    def step(cols: list) -> None:
+    def step(cols: list) -> int:
         for dst, src in adds:
             cols[dst] += cols[src]
         for dst, src, keep, unit in steps:
@@ -46,34 +58,39 @@ def loop_step(plan: Plan) -> Step:
                 cols[dst] = cols[src] + unit
         for j in clears:
             cols[j] = 0
+        return live
 
     return step
 
 
-def generated_step(plan: Plan) -> Step:
-    """One straight-line function for the plan, e.g.
+def generated_step(plan: Plan, live: int) -> Step:
+    """One straight-line function for the plan's adds and steps that
+    returns live, e.g.
 
-        def step(c, u0=u0):
+        def step(c):
             c[5] += c[2]
             c[3] = c[2] + u0
-            c[1] = 0
+            c[1] += u1
+            return k
 
-    The source holds only the plan's column indices, formatted as integers,
-    and parameter names; each unit is bound as the default of its
-    parameter, never printed (a unit can exceed int-to-text limits)."""
-    adds, steps, clears = plan
-    units = {f"u{i}": unit for i, (_, _, _, unit) in enumerate(steps)}
+    The plan's clears are not run: live must mark every column they name
+    dead.  The source holds only the plan's column indices, formatted as
+    integers, and names; each unit, and live, is bound to its name in the
+    function's globals, never printed (a unit can exceed int-to-text
+    limits).  Globals cost no more per call than defaults would, and the
+    shorter source compiles a fifth to a third faster.  The function is
+    taken out of the globals it was defined in, so no reference cycle is
+    left."""
+    adds, steps, _ = plan
+    namespace: dict = {f"u{i}": unit for i, (*_, unit) in enumerate(steps)}
+    namespace["k"] = live
     lines = [f"c[{dst:d}] += c[{src:d}]" for dst, src in adds]
-    lines += [
-        f"c[{dst:d}] {'+=' if keep else '='} c[{src:d}] + u{i}"
-        for i, (dst, src, keep, _) in enumerate(steps)
-    ]
-    lines += [f"c[{j:d}] = 0" for j in clears]
-    params = "".join(f", {name}={name}" for name in units)
-    body = "".join(f"\n    {line}" for line in lines or ["pass"])
-    namespace = dict(units)  # the defaults are read from here once, at def
-    exec(f"def step(c{params}):{body}\n", namespace)
-    return namespace["step"]
+    for i, (dst, src, keep, _) in enumerate(steps):
+        value = f"u{i}" if src is None else f"c[{src:d}] + u{i}"
+        lines.append(f"c[{dst:d}] {'+=' if keep else '='} {value}")
+    body = "".join(f"\n    {line}" for line in [*lines, "return k"])
+    exec(f"def step(c):{body}\n", namespace)
+    return namespace.pop("step")
 
 
 class PackedFold:
@@ -87,70 +104,104 @@ class PackedFold:
     carry; the top bit of each limb is a guard bit that stays clear, and
     _unpacked() raises RuntimeError if one is set.  W depends on n only
     through max(b, 16), so it grows only when n reaches 2**16, 2**17, ...;
-    that push unpacks every column and repacks it wider.
+    that push unpacks every live column and repacks it wider.
 
-    A subclass builds one plan per letter with _plan(letter), which also
-    validates the letter.  push and extend live here: push looks up the
-    letter's cached step, compares the new letter count with _event_at,
-    and calls the step on the columns; extend is the only loop over
-    letters.  Each subclass names push in its own class dict
-    (push = PackedFold.push), so that a tracer can wrap one fold's push
-    without the other's.
+    A subclass builds a letter's plan with _plan(letter, live), which also
+    validates the letter and returns the plan for columns that hold their
+    values as the live mask says (see the module docstring), together with
+    the mask the plan leaves.  The plan reads no column dead under live.
+    push and extend live here: push looks up the letter's cached
+    step, compares the new letter count with _event_at, calls the step on
+    the columns, and looks the next letter up in the table of the mask the
+    step returns; extend is the only loop over letters.  Each subclass
+    names push in its own class dict (push = PackedFold.push), so that a
+    tracer can wrap one fold's push without the other's.
 
-    A step comes in one of two forms, built from the same plan:
+    _tables maps a live mask to its table of steps, one per letter, and
+    _steps is the table push looks in.  A step returns a mask, not a table,
+    so steps and tables hold no reference cycle.  A step comes in one of
+    two forms:
 
     - a loop step (loop_step), a closure walking the plan's tuples, for the
-      first _LOOP_LETTERS = 1024 letters;
-    - a generated step (generated_step), one straight-line function per
-      letter, from letter 1025 on.  Its source holds only column indices
-      and parameter names.
+      first _LOOP_LETTERS = 1024 letters.  Its plan is built for _ALL, the
+      mask a fold starts from, and runs its clears, so every column still
+      holds its value and the step returns _ALL: one table, one plan per
+      letter.
+    - a generated step (generated_step), one straight-line function, from
+      letter 1025 on.  Its plan is built for the mask the previous letter
+      left (_ALL for letter 1025) and its clears are not run: a column
+      that dies is left stale.  No later step reads it, because every plan
+      reads only the columns live under the mask it was built for, and
+      _unpacked reports it as 0 without unpacking it.  A SeqFold leaves
+      one mask per letter, so over k letters it builds one generated step
+      at the switch and up to k**2 after it, and as many again after each
+      width step; a ParikhFold keeps every column live and stays at one
+      step per letter.
 
-    On 20 000 random letters a SeqFold runs 1.25-1.45x faster with
-    generated steps than with loop steps alone, but compiling a step costs
-    ~0.05-0.15 ms per plan at block size d = 2-4 and ~0.45-0.8 ms at
-    d = 21-30 (2-core x86_64, CPython 3.11.7).  Words of a few letters,
-    which build many short-lived folds, would pay that for nothing; on
-    random binary words the switch pays for itself by ~2500 letters.
-    Both forms run the same plan, so a result does not depend on the form.
+    Both forms compute the same matrix.  A generated step costs a compile:
+    ~0.03-0.06 ms per plan at block size d = 4 and ~0.11-0.2 ms at
+    d = 30 (2-core x86_64, CPython 3.11.7), up to k**2 + 1 plans per
+    SeqFold over k letters.  Words of a few letters, which build many
+    short-lived folds, would pay that for nothing.  On 20 000 random
+    letters a SeqFold runs 1.3-2.5x faster with generated steps than with
+    loop steps alone (the larger gains at d = 19-30); words of 1025 to
+    ~3000 letters do not yet pay back the compiles and fold up to 1.4x
+    slower than with one generated step per letter.
 
     _event_at is the next letter count at which push calls _event: a width
     step or the switch to generated steps, whichever comes first.  There
-    the step cache is dropped and rebuilt for the new width and form; the
-    columns are repacked only when the width changes.
+    the tables are dropped and the letter's step is rebuilt for the new
+    width and form from the current mask; the columns are repacked only
+    when the width changes, a dead one as 0.
     """
 
     def __init__(self, exponent: int, limbs: int):
-        """Width for the empty word; the subclass then sets _cols."""
+        """Width for the empty word; the subclass then sets _cols, every
+        one holding its value."""
         self._exponent = exponent
         self._limbs = limbs
         self._n = 0  # letters pushed
-        self._set_width(0)
+        self._set_width(0, _ALL)
 
-    def _set_width(self, n: int) -> None:
+    def _set_width(self, n: int, live: int) -> None:
         """Limbs wide enough for every entry until the letter count reaches
-        the next power of two past n, and the next event after n."""
+        the next power of two past n, the next event after n, and one empty
+        table, for live."""
         bits = _run_bits(n)
         self._w = self._exponent * bits + 1
         # the switch lies behind n once passed; 0 means no further event
         self._event_at = min(
             (at for at in (1 << bits, _LOOP_LETTERS + 1) if at > n), default=0
         )
-        self._steps: dict[str, Step] = {}
+        self._tables: dict[int, dict[str, Step]] = {live: {}}
+        self._steps = self._tables[live]
+
+    def _live(self) -> int:
+        """The live mask whose table push looks the next letter up in."""
+        return next(live for live, table in self._tables.items() if table is self._steps)
 
     def _step(self, letter: str) -> Step:
         """Validate letter, then build and cache its step in the form for
         the letters pushed so far."""
-        plan = self._plan(letter)
-        form = generated_step if self._n >= _LOOP_LETTERS else loop_step
-        step = self._steps[letter] = form(plan)
+        live = self._live()
+        plan, after = self._plan(letter, live)
+        if self._n < _LOOP_LETTERS:
+            step = loop_step(plan, live)
+        else:
+            step = generated_step(plan, after)
+            self._tables.setdefault(after, {})
+        self._steps[letter] = step
         return step
 
     def _unpacked(self) -> list[list[int]]:
-        """Every column as its list of entries; raises RuntimeError if a
-        limb's guard bit is set."""
-        limbs, w = self._limbs, self._w
+        """Every column as its list of entries, a dead one as zeros; raises
+        RuntimeError if a live limb's guard bit is set."""
+        limbs, w, live = self._limbs, self._w, self._live()
+        cols = self._cols
+        if live != _ALL:
+            cols = [col if live >> i & 1 else 0 for i, col in enumerate(cols)]
         guard = sum(1 << i * w + w - 1 for i in range(limbs))
-        if any(col & guard for col in self._cols):
+        if any(col & guard for col in cols):
             raise RuntimeError(
                 f"{type(self).__name__}: an entry overflowed its {w - 1}-bit limb "
                 f"after {self._n} letters"
@@ -159,7 +210,7 @@ class PackedFold:
         shifts = [i * w for i in range(limbs)]
         zero = [0] * limbs
         columns = []
-        for col in self._cols:
+        for col in cols:
             top = -(-col.bit_length() // w)  # limbs top, top+1, ... are zero
             columns.append([col >> k & mask for k in shifts[:top]] + zero[top:])
         return columns
@@ -172,7 +223,7 @@ class PackedFold:
         if n == self._event_at:
             step = self._event(n, letter)
         self._n = n
-        step(self._cols)
+        self._steps = self._tables[step(self._cols)]
 
     def extend(self, letters: Iterable[str]) -> None:
         push = self.push
@@ -180,11 +231,13 @@ class PackedFold:
             push(letter)
 
     def _event(self, n: int, letter: str) -> Step:
-        """Repack every column if n letters need wider limbs, set the next
-        event, and return letter's step rebuilt for n letters."""
+        """Repack every column, a dead one as 0, if n letters need wider
+        limbs, set the next event, and return letter's step rebuilt for n
+        letters after the current mask."""
+        live = self._live()
         w = self._exponent * _run_bits(n) + 1
         if w != self._w:
             columns = self._unpacked()
             self._cols = [sum(v << i * w for i, v in enumerate(col)) for col in columns]
-        self._set_width(n)
+        self._set_width(n, live)
         return self._step(letter)

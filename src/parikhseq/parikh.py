@@ -57,7 +57,8 @@ class ParikhFold(PackedFold):
     reduces to column updates col[q+1] += col[q] for every inducing-word
     position q holding the letter; they run in descending q so each update
     reads pre-push values.  They are the adds of the letter's plan (see
-    PackedFold).
+    PackedFold); no update zeroes a column, so every column stays live and
+    _plan returns the live mask it is given: one step per letter.
 
     Each column is packed into one Python int of k+1 limbs, k =
     len(ctx.inducing): row i of the column sits in limb i (see PackedFold),
@@ -75,14 +76,14 @@ class ParikhFold(PackedFold):
         super().__init__(len(ctx.inducing), ctx.dim)
         self._cols = [1 << q * self._w for q in range(ctx.dim)]  # the identity
 
-    def _plan(self, letter: str) -> Plan:
+    def _plan(self, letter: str, live: int) -> tuple[Plan, int]:
         if letter not in self.ctx.alphabet:
             raise PatternError(f"symbol {letter!r} not in alphabet {self.ctx.alphabet}")
         inducing = self.ctx.inducing
         adds = tuple(
             (q + 1, q) for q in range(len(inducing) - 1, -1, -1) if inducing[q] == letter
         )
-        return adds, (), ()
+        return (adds, (), ()), live
 
     push = PackedFold.push
 

@@ -36,7 +36,7 @@ def check_symbols(text: str, message: str) -> None:
 def check_letter(letter: str, message: str) -> None:
     """Raise PatternError(message.format(letter)) unless letter is one
     symbol of [a-zA-Z0-9]."""
-    if len(letter) != 1 or letter not in SYMBOL_CHARS:
+    if not isinstance(letter, str) or letter not in SYMBOL_CHARS:
         raise PatternError(message.format(letter))
 
 

@@ -248,9 +248,14 @@ def is_classic(ctx: ParikhContext) -> bool:
 
 
 def step_forms(fold: PackedFold) -> set[str]:
-    """The form of each step the fold has cached: "loop" (a closure over its
-    plan) or "generated" (no free variables; units are defaults)."""
-    return {"loop" if s.__closure__ else "generated" for s in fold._steps.values()}
+    """The form of each step the fold has cached, in every table: "loop" (a
+    closure over its plan) or "generated" (no free variables; units are
+    globals)."""
+    return {
+        "loop" if s.__closure__ else "generated"
+        for table in fold._tables.values()
+        for s in table.values()
+    }
 
 
 def letter_matrix(ctx: ParikhContext, letter: str) -> IntMatrix:

@@ -699,29 +699,50 @@ _SIDES = {
 
 @st.composite
 def _difference_cases(draw):
+    """e1, the kind of its other side, a form to perturb the linear form
+    with, a drawn other side, whether to swap, the alphabet and max_len;
+    the test builds the linear form, which can pass MAX_LINEAR_TERMS."""
     alphabet = draw(st.sampled_from(sorted(_SIDES)))
     exprs, forms = _SIDES[alphabet]
     e1 = draw(exprs)
     kind = draw(st.sampled_from(["linear form", "perturbed form", "any"]))
-    if kind == "any":
-        e2 = draw(st.one_of(exprs, forms))
-    else:
-        e2 = linearize(e1)
-        if kind == "perturbed form":
-            terms = dict(e2.items())
-            for m, c in draw(forms).items():
-                terms[m] = terms.get(m, 0) + c
-            e2 = LinearForm(terms)
-    if draw(st.booleans()):
-        e1, e2 = e2, e1
-    return e1, e2, Alphabet.parse(alphabet), draw(st.integers(0, 4))
+    perturbation = draw(forms)
+    side = draw(st.one_of(exprs, forms))
+    swap = draw(st.booleans())
+    return e1, kind, perturbation, side, swap, Alphabet.parse(alphabet), draw(st.integers(0, 4))
 
 
 class TestFirstDifference:
     @settings(max_examples=300, deadline=None)
     @given(_difference_cases())
+    # its linear form would hold 20 081 terms, past MAX_LINEAR_TERMS
+    @example(
+        (
+            parse_expr("(a * b.aa.aa) * (a.b.ba * a.aa.ab)"),
+            "linear form",
+            LinearForm(),
+            parse_expr("a.b"),
+            False,
+            AB,
+            4,
+        )
+    )
     def test_agrees_with_per_word_evaluation(self, case):
-        e1, e2, alphabet, max_len = case
+        e1, kind, perturbation, e2, swap, alphabet, max_len = case
+        if kind != "any":
+            try:
+                e2 = linearize(e1)
+            except ValueError as err:
+                # e1 is then compared with the drawn side
+                assert f"cap of {gsh.MAX_LINEAR_TERMS} terms" in str(err)
+            else:
+                if kind == "perturbed form":
+                    terms = dict(e2.items())
+                    for m, c in perturbation.items():
+                        terms[m] = terms.get(m, 0) + c
+                    e2 = LinearForm(terms)
+        if swap:
+            e1, e2 = e2, e1
         assert gsh.first_difference(e1, e2, alphabet, max_len) == (
             first_difference_per_word(e1, e2, alphabet, max_len)
         )

@@ -233,6 +233,20 @@ class TestGeneratedSteps:
         with pytest.raises(RuntimeError, match="overflowed"):
             fold.result()
 
+    @pytest.mark.parametrize("inducing", ["ab", "abcba"])
+    def test_one_step_per_letter(self, inducing):
+        # no update clears a column, so every column stays live and the
+        # fold keeps one table, with one step per letter pushed
+        ctx = ParikhContext(ABC, inducing)
+        rng = random.Random(28)
+        w = "".join(rng.choice("abc") for _ in range(self.SWITCH + 200))
+        fold = ParikhFold(ctx)
+        fold.extend(w)
+        assert list(fold._tables) == [packed._ALL]
+        assert sorted(fold._steps) == sorted(set(w))
+        assert step_forms(fold) == {"generated"}
+        assert fold.result() == parikh_matrix_direct(ctx, w)
+
     @pytest.mark.parametrize("length", [SWITCH - 1, SWITCH + 10])
     def test_invalid_letter_leaves_state(self, length):
         # at SWITCH - 1 letters the rejected push would have been the switch
@@ -242,9 +256,10 @@ class TestGeneratedSteps:
         fold = ParikhFold(ctx)
         fold.extend(w)
         before = fold.result()
-        with pytest.raises(PatternError):
-            fold.push("z")
-        assert fold.result() == before
+        for letter in ("z", None):
+            with pytest.raises(PatternError):
+                fold.push(letter)
+            assert fold.result() == before
         fold.extend("cba")
         assert step_forms(fold) == {"generated"}
         assert fold.result() == parikh_matrix_direct(ctx, w + "cba")

@@ -1,3 +1,5 @@
+import copy
+import gc
 import random
 
 import pytest
@@ -372,11 +374,17 @@ class TestPackedColumns:
 
 class TestGeneratedSteps:
     """A fold walks each letter's plan for its first packed._LOOP_LETTERS
-    letters, then runs one generated function per letter."""
+    letters, then runs one generated function per pair (mask the previous
+    letter left, letter): it reads only live columns, clears nothing, and
+    result() reports the stale dead columns as 0."""
 
     SWITCH = packed._LOOP_LETTERS + 1  # the push that generates the steps
 
-    @pytest.mark.parametrize("pattern", ["ab.b.ab", "ab.ba.ab.ba.ab", "abc.ca.bc.ab.c"])
+    # c is absent from the last; a.a.a has consecutive boundaries (every
+    # column in B); aa.a has a one-letter flat
+    PATTERNS = ["ab.b.ab", "a.a.a", "aa.a", "abbabaabbaababbabaababbabaab.abb"]
+
+    @pytest.mark.parametrize("pattern", ["ab.ba.ab.ba.ab", "abc.ca.bc.ab.c", *PATTERNS])
     def test_fold_equals_direct_around_the_switch(self, pattern):
         q = GapPattern.parse(pattern)
         rng = random.Random(39)
@@ -417,7 +425,7 @@ class TestGeneratedSteps:
             fold.result()
 
     @pytest.mark.parametrize("length", [SWITCH - 1, SWITCH + 10])
-    @pytest.mark.parametrize("letter", ["!", "ab", ""])
+    @pytest.mark.parametrize("letter", ["!", "ab", "", None])
     def test_invalid_letter_leaves_state(self, length, letter):
         # at SWITCH - 1 letters the rejected push would have been the switch
         rng = random.Random(41)
@@ -431,6 +439,72 @@ class TestGeneratedSteps:
         fold.extend("cba")
         assert step_forms(fold) == {"generated"}
         assert fold.result() == seq_matrix_direct(AB_C, w + "cba")
+
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    def test_steps_read_only_live_columns_and_clear_nothing(self, pattern):
+        # every column dead under the current mask is set to None, which
+        # no step can add or read; a step that read one would raise, and a
+        # clear would overwrite a None or a column that dies
+        q = GapPattern.parse(pattern)
+        rng = random.Random(43)
+        w = "".join(rng.choice("abc") for _ in range(self.SWITCH + 50))
+        fold = SeqFold(q)
+        fold.extend(w)
+        for p in "abc":
+            fold.push(p)
+            w += p
+            live = fold._live()
+            for x in "abc":
+                probe = copy.copy(fold)
+                probe._cols = [col if live >> i & 1 else None for i, col in enumerate(fold._cols)]
+                before = list(probe._cols)
+                probe.push(x)
+                after = probe._live()
+                for i, (old, new) in enumerate(zip(before, probe._cols)):
+                    if not after >> i & 1:
+                        assert new is old  # left stale, not cleared
+                assert probe.result() == seq_matrix_direct(q, w + x)
+
+    def test_width_step_keeps_the_previous_mask(self):
+        # the push to 2**16 letters repacks the columns, dead ones as 0,
+        # and rebuilds its step for the mask the previous letter left, not
+        # for _ALL, whose table no later letter would look in
+        q = GapPattern.parse("abbabaabbaababbabaababbabaab.abb")
+        rng = random.Random(44)
+        w = "".join(rng.choice("abc") for _ in range(2**16 + 3))
+        fold = SeqFold(q)
+        fold.extend(w[: 2**16 - 1])
+        live = fold._live()
+        assert live == fold._plan(w[2**16 - 2], packed._ALL)[1]
+        early = fold.result()
+        assert early == seq_matrix_direct(q, w[: 2**16 - 1])
+        fold.push(w[2**16 - 1])
+        assert list(fold._tables[live]) == [w[2**16 - 1]]
+        assert packed._ALL not in fold._tables
+        assert fold._live() == fold._plan(w[2**16 - 1], live)[1]
+        assert step_forms(fold) == {"generated"}
+        assert fold.result() == seq_matrix_direct(q, w[: 2**16])
+        fold.extend(w[2**16 :])
+        assert fold.result() == seq_matrix_direct(q, w)
+        assert early == seq_matrix_direct(q, w[: 2**16 - 1])
+
+    def test_dropped_fold_leaves_no_cyclic_garbage(self):
+        # a generated step is taken out of the globals it was defined in,
+        # and a step returns a mask, not a table: dropping the fold frees
+        # everything by reference counting alone
+        q = GapPattern.parse("abcabcabcabcabcabcabcabcabca.bca")
+        rng = random.Random(45)
+        w = "".join(rng.choice("abc") for _ in range(self.SWITCH + 100))
+        gc.collect()
+        gc.disable()
+        try:
+            fold = SeqFold(q)
+            fold.extend(w)
+            assert step_forms(fold) == {"generated"}
+            del fold
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestHomomorphism:
