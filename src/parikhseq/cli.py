@@ -5,14 +5,14 @@ verify.  Words come from the positional argument, --file, or standard input
 ('-' or no argument); whitespace in piped input is ignored.  The matrix
 subcommand reads piped words in chunks of at most 64 KiB and pushes them
 through the fold letter by letter, so very long words stream in bounded
-memory; from the 1025th letter on each push runs one straight-line step
-generated for the pair (previous letter, letter), which skips the columns
-the previous letter zeroed and zeroes none itself (see parikhseq.packed
-and parikhseq.seqmat.SeqFold).  Its text lines are rendered only under
---format text.  A buffered word (argument or --file) of up to
-200 000 letters is cross-checked against the direct construction, for
-every matrix kind; piped words are not.  The scalars of count and gsh eval
-are printed in full, however many digits they have.
+memory.  Each push runs the step for the pair (previous letter, letter),
+which skips the columns the previous letter zeroed and zeroes none itself;
+from the 1025th letter on that step is one generated straight-line
+function (see parikhseq.packed and parikhseq.seqmat.SeqFold).  Its text
+lines are rendered only under --format text.  A buffered word (argument
+or --file) of up to 200 000 letters is cross-checked against the direct
+construction, for every matrix kind; piped words are not.  The scalars of
+count and gsh eval are printed in full, however many digits they have.
 
 Exit codes: 0 success, 1 property violation or internal disagreement,
 2 usage or parse errors.

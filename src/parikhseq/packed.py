@@ -5,12 +5,12 @@ of equal limbs W bits wide: entry i of a column sits in bits
 [i*W, (i+1)*W).  Adding two columns adds every entry at once as long as no
 limb carries into the next, which the width rule below guarantees.
 
-A letter's update is a plan: (adds, steps, clears), run in that order.
-An add (dst, src) adds column src to column dst; a step
-(dst, src, keep, unit) sets column dst to cols[src] + unit, plus its old
-value if keep, and to unit alone (plus its old value if keep) when src is
-None; a clear zeroes one column.  This module turns a plan into a callable
-of the column list in one of two forms (see PackedFold).
+A letter's update is a plan: (adds, steps), run in that order.  An add
+(dst, src) adds column src to column dst; a step (dst, src, keep, unit)
+sets column dst to cols[src] + unit, plus its old value if keep, and to
+unit alone (plus its old value if keep) when src is None.  No plan zeroes
+a column.  This module turns a plan into a callable of the column list in
+one of two forms (see PackedFold).
 
 A live mask says which columns hold their values: bit i set means column i
 does, bit i clear means the matrix column is zero whatever column i holds.
@@ -20,12 +20,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-# (adds, steps, clears) as above
-Plan = tuple[
-    tuple[tuple[int, int], ...],
-    tuple[tuple[int, int | None, bool, int], ...],
-    tuple[int, ...],
-]
+# (adds, steps) as above
+Plan = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int | None, bool, int], ...]]
 # a step updates the column list and returns the live mask whose table
 # the next letter's step is looked up in
 Step = Callable[[list], int]
@@ -43,29 +39,28 @@ def _run_bits(n: int) -> int:
     return max(n.bit_length(), 16)
 
 
-def loop_step(plan: Plan, live: int) -> Step:
+def loop_step(plan: Plan, after: int) -> Step:
     """A closure that walks the plan's tuples on every call and returns
-    live.  Its steps read every source (src is never None)."""
-    adds, steps, clears = plan
+    after."""
+    adds, steps = plan
 
     def step(cols: list) -> int:
         for dst, src in adds:
             cols[dst] += cols[src]
         for dst, src, keep, unit in steps:
+            value = unit if src is None else cols[src] + unit
             if keep:
-                cols[dst] += cols[src] + unit
+                cols[dst] += value
             else:
-                cols[dst] = cols[src] + unit
-        for j in clears:
-            cols[j] = 0
-        return live
+                cols[dst] = value
+        return after
 
     return step
 
 
-def generated_step(plan: Plan, live: int) -> Step:
+def generated_step(plan: Plan, after: int) -> Step:
     """One straight-line function for the plan's adds and steps that
-    returns live, e.g.
+    returns after, e.g.
 
         def step(c):
             c[5] += c[2]
@@ -73,17 +68,16 @@ def generated_step(plan: Plan, live: int) -> Step:
             c[1] += u1
             return k
 
-    The plan's clears are not run: live must mark every column they name
-    dead.  The source holds only the plan's column indices, formatted as
-    integers, and names; each unit, and live, is bound to its name in the
+    The source holds only the plan's column indices, formatted as
+    integers, and names; each unit, and after, is bound to its name in the
     function's globals, never printed (a unit can exceed int-to-text
     limits).  Globals cost no more per call than defaults would, and the
     shorter source compiles a fifth to a third faster.  The function is
     taken out of the globals it was defined in, so no reference cycle is
     left."""
-    adds, steps, _ = plan
+    adds, steps = plan
     namespace: dict = {f"u{i}": unit for i, (*_, unit) in enumerate(steps)}
-    namespace["k"] = live
+    namespace["k"] = after
     lines = [f"c[{dst:d}] += c[{src:d}]" for dst, src in adds]
     for i, (dst, src, keep, _) in enumerate(steps):
         value = f"u{i}" if src is None else f"c[{src:d}] + u{i}"
@@ -119,34 +113,29 @@ class PackedFold:
 
     _tables maps a live mask to its table of steps, one per letter, and
     _steps is the table push looks in.  A step returns a mask, not a table,
-    so steps and tables hold no reference cycle.  A step comes in one of
-    two forms:
+    so steps and tables hold no reference cycle.  Every step is built from
+    the plan for the mask it runs under, the one the previous letter left
+    (_ALL for the first letter), and returns the mask its plan leaves.  No
+    plan clears a column: one that dies is left stale.  No later step
+    reads it, because every plan reads only the columns live under the
+    mask it was built for, and _unpacked reports it as 0 without unpacking
+    it.  A SeqFold leaves one mask per letter, so over k letters it builds
+    up to 1 + k**2 steps, and up to k**2 after the switch and after each
+    width step; a ParikhFold keeps every column live and stays at one step
+    per letter.  The plan is run by one of two executors:
 
-    - a loop step (loop_step), a closure walking the plan's tuples, for the
-      first _LOOP_LETTERS = 1024 letters.  Its plan is built for _ALL, the
-      mask a fold starts from, and runs its clears, so every column still
-      holds its value and the step returns _ALL: one table, one plan per
-      letter.
-    - a generated step (generated_step), one straight-line function, from
-      letter 1025 on.  Its plan is built for the mask the previous letter
-      left (_ALL for letter 1025) and its clears are not run: a column
-      that dies is left stale.  No later step reads it, because every plan
-      reads only the columns live under the mask it was built for, and
-      _unpacked reports it as 0 without unpacking it.  A SeqFold leaves
-      one mask per letter, so over k letters it builds one generated step
-      at the switch and up to k**2 after it, and as many again after each
-      width step; a ParikhFold keeps every column live and stays at one
-      step per letter.
+    - loop_step, a closure walking the plan's tuples, for the first
+      _LOOP_LETTERS = 1024 letters;
+    - generated_step, one straight-line function, from letter 1025 on.
 
-    Both forms compute the same matrix.  A generated step costs a compile:
+    Both compute the same matrix.  A generated step costs a compile:
     ~0.03-0.06 ms per plan at block size d = 4 and ~0.11-0.2 ms at
-    d = 30 (2-core x86_64, CPython 3.11.7), up to k**2 + 1 plans per
-    SeqFold over k letters.  Words of a few letters, which build many
-    short-lived folds, would pay that for nothing.  On 20 000 random
-    letters a SeqFold runs 1.3-2.5x faster with generated steps than with
-    loop steps alone (the larger gains at d = 19-30); words of 1025 to
-    ~3000 letters do not yet pay back the compiles and fold up to 1.4x
-    slower than with one generated step per letter.
+    d = 30 (2-core x86_64, CPython 3.11.7).  Words of a few letters, which
+    build many short-lived folds, would pay that for nothing.  On 20 000
+    random letters a SeqFold runs 1.26-1.42x faster with generated steps
+    than with loop steps alone.  Against one generated step per letter,
+    words of 1100 to 3000 letters fold 1.14-1.50x faster at d = 19-30 but
+    up to 1.18x slower at d = 4, where the compiles are not yet paid back.
 
     _event_at is the next letter count at which push calls _event: a width
     step or the switch to generated steps, whichever comes first.  There
@@ -183,14 +172,10 @@ class PackedFold:
     def _step(self, letter: str) -> Step:
         """Validate letter, then build and cache its step in the form for
         the letters pushed so far."""
-        live = self._live()
-        plan, after = self._plan(letter, live)
-        if self._n < _LOOP_LETTERS:
-            step = loop_step(plan, live)
-        else:
-            step = generated_step(plan, after)
-            self._tables.setdefault(after, {})
-        self._steps[letter] = step
+        plan, after = self._plan(letter, self._live())
+        form = loop_step if self._n < _LOOP_LETTERS else generated_step
+        step = self._steps[letter] = form(plan, after)
+        self._tables.setdefault(after, {})
         return step
 
     def _unpacked(self) -> list[list[int]]:

@@ -83,7 +83,7 @@ class ParikhFold(PackedFold):
         adds = tuple(
             (q + 1, q) for q in range(len(inducing) - 1, -1, -1) if inducing[q] == letter
         )
-        return (adds, (), ()), live
+        return (adds, ()), live
 
     push = PackedFold.push
 

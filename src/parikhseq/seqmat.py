@@ -159,11 +159,10 @@ class SeqFold(PackedFold):
     columns 0..d, then right columns 1..d; middle column 0 is always zero,
     and column 1 takes it like any other column.  Because F and S sit
     exactly as E and C do, and E and C change together, a push is one int
-    operation per column: a right column adds its middle column, a stepped
-    middle column adds column j-1 (and the unit bit of E's row j), and a
-    cleared column is set to 0.  result() unpacks the limbs of the live
-    columns and transposes the middle and right columns once, into the 2d
-    core rows _assemble takes.
+    operation per column: a right column adds its middle column, and a
+    stepped middle column adds column j-1 (and the unit bit of E's row j).
+    result() unpacks the limbs of the live columns and transposes the
+    middle and right columns once, into the 2d core rows _assemble takes.
 
     No limb carries into the next.  Let f = len(pattern.factors) and
     n >= 1 the letters pushed.  An entry counts the occurrences of a
@@ -183,23 +182,19 @@ class SeqFold(PackedFold):
 
     A letter's plan (see PackedFold) validates the letter and, for the
     live mask the previous letter left, lists the adds (d+j, j) for the
-    columns j whose F and S change, the (j, j-1, keep, unit) steps for the
-    middle columns that take column j-1 (added to a kept column, else
-    moved in), and the live columns that die, to clear.  An add from a
-    dead column is left out, and a step from a dead column j-1 has src
-    None: it stores its unit, or adds it to a kept column.  Steps run
-    highest j first and clears run last, so every step reads the pre-push
-    column j-1.  Kept columns with nothing to add are left out.
-
-    A loop step's plan is built for every column live, so it reads every
-    source and clears every column that dies.  From letter 1025 on, each
-    step is built for the pair (mask the previous letter left, letter) and
-    clears nothing: a dead column is left stale.  No later plan reads it,
+    columns j whose F and S change and the (j, j-1, keep, unit) steps for
+    the middle columns that take column j-1 (added to a kept column, else
+    moved in).  An add from a dead column is left out, and a step from a
+    dead column j-1 has src None: it stores its unit, or adds it to a kept
+    column.  Steps run highest j first, so every step reads the pre-push
+    column j-1.  Kept columns with nothing to add are left out, and a
+    column that dies is left stale, not cleared: no later plan reads it,
     since each reads only the live columns of the mask it was built for,
     and those hold their values; result() reports it as 0.  With letters
-    drawn uniformly, this cuts the int operations per letter from 5.0 to
-    3.5 for ab.b.ab and from 39.3 to 13.6 for a d = 30 pattern over abc;
-    the gain needs many middle columns outside B.
+    drawn uniformly, this cuts the int operations per letter, against
+    plans that read every column and clear every column that dies, from
+    5.0 to 3.5 for ab.b.ab and from 39.3 to 13.6 for a d = 30 pattern over
+    abc; the gain needs many middle columns outside B.
     """
 
     def __init__(self, pattern: GapPattern):
@@ -215,7 +210,7 @@ class SeqFold(PackedFold):
     def _plan(self, letter: str, live: int) -> tuple[Plan, int]:
         check_letter(letter, "invalid letter {!r}")
         flat, b, d, w = self.pattern.flat, self.pattern.boundaries, self._d, self._w
-        tails, steps, clears, after = [], [], [], self._right
+        tails, steps, after = [], [], self._right
         for j in range(d, 0, -1):
             if flat[j] == letter and live >> j & 1:
                 tails.append((d + j, j))
@@ -225,9 +220,7 @@ class SeqFold(PackedFold):
                 after |= 1 << j
             elif j in b:
                 after |= 1 << j
-            elif live >> j & 1:
-                clears.append(j)
-        return (tuple(tails), tuple(steps), tuple(clears)), after
+        return (tuple(tails), tuple(steps)), after
 
     push = PackedFold.push
 

@@ -236,16 +236,18 @@ class TestGeneratedSteps:
     @pytest.mark.parametrize("inducing", ["ab", "abcba"])
     def test_one_step_per_letter(self, inducing):
         # no update clears a column, so every column stays live and the
-        # fold keeps one table, with one step per letter pushed
+        # fold keeps one table, with one step per letter pushed, in both
+        # forms
         ctx = ParikhContext(ABC, inducing)
-        rng = random.Random(28)
-        w = "".join(rng.choice("abc") for _ in range(self.SWITCH + 200))
-        fold = ParikhFold(ctx)
-        fold.extend(w)
-        assert list(fold._tables) == [packed._ALL]
-        assert sorted(fold._steps) == sorted(set(w))
-        assert step_forms(fold) == {"generated"}
-        assert fold.result() == parikh_matrix_direct(ctx, w)
+        for length, form in ((40, "loop"), (self.SWITCH + 200, "generated")):
+            rng = random.Random(28)
+            w = "".join(rng.choice("abc") for _ in range(length))
+            fold = ParikhFold(ctx)
+            fold.extend(w)
+            assert list(fold._tables) == [packed._ALL]
+            assert sorted(fold._steps) == sorted(set(w))
+            assert step_forms(fold) == {form}
+            assert fold.result() == parikh_matrix_direct(ctx, w)
 
     @pytest.mark.parametrize("length", [SWITCH - 1, SWITCH + 10])
     def test_invalid_letter_leaves_state(self, length):

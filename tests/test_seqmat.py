@@ -373,10 +373,11 @@ class TestPackedColumns:
 
 
 class TestGeneratedSteps:
-    """A fold walks each letter's plan for its first packed._LOOP_LETTERS
-    letters, then runs one generated function per pair (mask the previous
-    letter left, letter): it reads only live columns, clears nothing, and
-    result() reports the stale dead columns as 0."""
+    """A fold builds each letter's plan for the mask the previous letter
+    left, walks it for its first packed._LOOP_LETTERS letters and then runs
+    it as one generated function: in both forms a step reads only live
+    columns, clears nothing, and result() reports the stale dead columns
+    as 0."""
 
     SWITCH = packed._LOOP_LETTERS + 1  # the push that generates the steps
 
@@ -442,28 +443,51 @@ class TestGeneratedSteps:
 
     @pytest.mark.parametrize("pattern", PATTERNS)
     def test_steps_read_only_live_columns_and_clear_nothing(self, pattern):
-        # every column dead under the current mask is set to None, which
-        # no step can add or read; a step that read one would raise, and a
-        # clear would overwrite a None or a column that dies
+        # every column dead after the last letter is set to None, which no
+        # step can add or read; a step that read one would raise, and a
+        # clear would overwrite a None or a column that dies.  A letter's
+        # mask depends on the letter alone, so _plan(letter, _ALL) gives it
         q = GapPattern.parse(pattern)
-        rng = random.Random(43)
-        w = "".join(rng.choice("abc") for _ in range(self.SWITCH + 50))
+        for length, form in ((40, "loop"), (self.SWITCH + 50, "generated")):
+            rng = random.Random(43)
+            w = "".join(rng.choice("abc") for _ in range(length))
+            fold = SeqFold(q)
+            fold.extend(w)
+            for p in "abc":
+                fold.push(p)
+                w += p
+                live = fold._plan(p, packed._ALL)[1]
+                for x in "abc":
+                    probe = copy.copy(fold)
+                    probe._cols = [col if live >> i & 1 else None for i, col in enumerate(fold._cols)]
+                    before = list(probe._cols)
+                    probe.push(x)
+                    after = probe._plan(x, packed._ALL)[1]
+                    for i, (old, new) in enumerate(zip(before, probe._cols)):
+                        if not after >> i & 1:
+                            assert new is old  # left stale, not cleared
+                    assert probe.result() == seq_matrix_direct(q, w + x)
+            assert step_forms(fold) == {form}
+
+    def test_loop_phase_keeps_one_table_per_mask(self):
+        # over k = 3 letters a loop-phase fold meets _ALL and one mask per
+        # letter; it builds each step for the mask it runs under, at most
+        # one from _ALL and k**2 after it, and a step leaves its plan's mask
+        q = GapPattern.parse("abc.ca.bc.ab.c")
+        rng = random.Random(46)
+        w = "".join(rng.choice("abc") for _ in range(200))
         fold = SeqFold(q)
         fold.extend(w)
-        for p in "abc":
-            fold.push(p)
-            w += p
-            live = fold._live()
-            for x in "abc":
-                probe = copy.copy(fold)
-                probe._cols = [col if live >> i & 1 else None for i, col in enumerate(fold._cols)]
-                before = list(probe._cols)
-                probe.push(x)
-                after = probe._live()
-                for i, (old, new) in enumerate(zip(before, probe._cols)):
-                    if not after >> i & 1:
-                        assert new is old  # left stale, not cleared
-                assert probe.result() == seq_matrix_direct(q, w + x)
+        assert step_forms(fold) == {"loop"}
+        masks = {fold._plan(p, packed._ALL)[1] for p in "abc"}
+        assert set(fold._tables) == {packed._ALL} | masks
+        assert list(fold._tables[packed._ALL]) == [w[0]]
+        assert sum(len(table) for table in fold._tables.values()) <= 1 + 3**2
+        for live, table in fold._tables.items():
+            for letter, step in table.items():
+                probe = list(fold._cols)
+                assert step(probe) == fold._plan(letter, live)[1]
+        assert fold.result() == seq_matrix_direct(q, w)
 
     def test_width_step_keeps_the_previous_mask(self):
         # the push to 2**16 letters repacks the columns, dead ones as 0,
