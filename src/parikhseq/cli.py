@@ -3,13 +3,14 @@
 Subcommands: count, matrix, minor, witness, gsh (eval|linearize|equiv),
 verify.  Words come from the positional argument, --file, or standard input
 ('-' or no argument); whitespace in piped input is ignored.  The matrix
-subcommand reads piped words in chunks of at most 64 KiB and pushes them
-through the fold letter by letter, so very long words stream in bounded
-memory.  Each push runs the step for the pair (previous letter, letter),
-which skips the columns the previous letter zeroed and zeroes none itself;
-from the 1025th letter on that step is one generated straight-line
-function (see parikhseq.packed and parikhseq.seqmat.SeqFold).  Its text
-lines are rendered only under --format text.  A buffered word (argument
+subcommand reads piped words in chunks of at most 64 KiB and hands each
+chunk to the fold, so very long words stream in bounded memory.  Each
+letter runs the update plan for the pair (previous letter, letter), which
+skips the columns the previous letter zeroed and zeroes none itself; the
+fold walks the plans of its first 1024 letters one letter at a time and
+from then on folds each chunk through one generated function that holds
+every plan inline (see parikhseq.packed and parikhseq.seqmat.SeqFold).
+Its text lines are rendered only under --format text.  A buffered word (argument
 or --file) of up to 200 000 letters is cross-checked against the direct
 construction, for every matrix kind; piped words are not.  The scalars of
 count and gsh eval are printed in full, however many digits they have.

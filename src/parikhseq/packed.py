@@ -9,8 +9,9 @@ A letter's update is a plan: (adds, steps), run in that order.  An add
 (dst, src) adds column src to column dst; a step (dst, src, keep, unit)
 sets column dst to cols[src] + unit, plus its old value if keep, and to
 unit alone (plus its old value if keep) when src is None.  No plan zeroes
-a column.  This module turns a plan into a callable of the column list in
-one of two forms (see PackedFold).
+a column.  This module runs a plan in one of two executors (see
+PackedFold): a closure walking it for one letter, or a generated chunk
+runner that inlines the plans of every letter for a whole string.
 
 A live mask says which columns hold their values: bit i set means column i
 does, bit i clear means the matrix column is zero whatever column i holds.
@@ -25,8 +26,11 @@ Plan = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int | None, bool, int
 # a step updates the column list and returns the live mask whose table
 # the next letter's step is looked up in
 Step = Callable[[list], int]
+# a runner folds a string into the column list, starting from the mask of
+# the given index, and returns the index of the mask it leaves
+Runner = Callable[[list, str, int], int]
 
-# letters a fold runs through loop steps before it generates its steps
+# letters a fold pushes one at a time before extend runs chunk runners
 _LOOP_LETTERS = 1024
 
 # every bit set: every column holds its value
@@ -58,90 +62,142 @@ def loop_step(plan: Plan, after: int) -> Step:
     return step
 
 
-def generated_step(plan: Plan, after: int) -> Step:
-    """One straight-line function for the plan's adds and steps that
-    returns after, e.g.
+def _tree(var: str, leaves: list[tuple[object, list[str]]]) -> list[str]:
+    """Lines that run the leaf whose key var holds, for leaves sorted by
+    key and var holding one of their keys: a balanced tree of var < key
+    tests, with adjacent leaves of equal lines merged into one."""
+    merged: list[tuple[object, list[str]]] = []
+    for key, lines in leaves:
+        if not merged or merged[-1][1] != lines:
+            merged.append((key, lines))
+    if len(merged) == 1:
+        return merged[0][1] or ["pass"]
+    mid = len(merged) // 2
+    return [
+        f"if {var} < {merged[mid][0]!r}:",
+        *("    " + line for line in _tree(var, merged[:mid])),
+        "else:",
+        *("    " + line for line in _tree(var, merged[mid:])),
+    ]
 
-        def step(c):
-            c[5] += c[2]
-            c[3] = c[2] + u0
-            c[1] += u1
-            return k
 
-    The source holds only the plan's column indices, formatted as
-    integers, and names; each unit, and after, is bound to its name in the
+def chunk_runner(plans: list[dict[str, tuple[Plan, int]]], width: int) -> Runner:
+    """One generated function that folds a string into a list of width
+    columns.  plans[s][letter] is (plan, t): letter's plan under the mask
+    of index s and the index t of the mask it leaves; every row holds the
+    same letters, and the string may hold no other.  For two masks and
+    the letters ab, e.g.
+
+        def run(c, text, s):
+            c0, c1, c2, c3 = c
+            for x in text:
+                if x < 'b':
+                    c3 += c1
+                    c1 = c0 + u0
+                    s = 0
+                else:
+                    if s < 1:
+                        c2 += u1
+                    else:
+                        c2 = c1 + u1
+                    s = 1
+            c[:] = c0, c1, c2, c3
+            return s
+
+    The columns live in locals for the whole string and are written back
+    once.  The source holds only column and mask indices, formatted as
+    integers, letters and names; each unit is bound to its name in the
     function's globals, never printed (a unit can exceed int-to-text
-    limits).  Globals cost no more per call than defaults would, and the
-    shorter source compiles a fifth to a third faster.  The function is
-    taken out of the globals it was defined in, so no reference cycle is
-    left."""
-    adds, steps = plan
-    namespace: dict = {f"u{i}": unit for i, (*_, unit) in enumerate(steps)}
-    namespace["k"] = after
-    lines = [f"c[{dst:d}] += c[{src:d}]" for dst, src in adds]
-    for i, (dst, src, keep, _) in enumerate(steps):
-        value = f"u{i}" if src is None else f"c[{src:d}] + u{i}"
-        lines.append(f"c[{dst:d}] {'+=' if keep else '='} {value}")
-    body = "".join(f"\n    {line}" for line in [*lines, "return k"])
-    exec(f"def step(c):{body}\n", namespace)
-    return namespace.pop("step")
+    limits).  The function is taken out of the globals it was defined in,
+    so no reference cycle is left."""
+    units: dict[int, str] = {}
+
+    def body(plan: Plan, after: int) -> list[str]:
+        adds, steps = plan
+        lines = [f"c{dst:d} += c{src:d}" for dst, src in adds]
+        for dst, src, keep, unit in steps:
+            name = units.setdefault(unit, f"u{len(units)}")
+            value = name if src is None else f"c{src:d} + {name}"
+            lines.append(f"c{dst:d} {'+=' if keep else '='} {value}")
+        return (lines + [f"s = {after:d}"]) if len(plans) > 1 else lines
+
+    dispatch = _tree("x", [
+        (letter, _tree("s", [(s, body(*row[letter])) for s, row in enumerate(plans)]))
+        for letter in sorted(plans[0])
+    ])
+    cols = ", ".join(f"c{i:d}" for i in range(width))
+    source = "\n".join([
+        "def run(c, text, s):",
+        f"    {cols}, = c",
+        "    for x in text:",
+        *("        " + line for line in dispatch),
+        f"    c[:] = {cols},",
+        "    return s\n",
+    ])
+    namespace: dict = {name: unit for unit, name in units.items()}
+    exec(source, namespace)
+    return namespace.pop("run")
 
 
 class PackedFold:
-    """Width, repack, unpack, guard and step logic of a fold over packed
+    """Width, repack, unpack, guard and executor logic of a fold over packed
     columns.
 
     A subclass promises that after n >= 1 letters every entry is at most
-    n**exponent and that every sum a push forms is a sum of nonnegative terms
-    of an entry after that push.  With b = n.bit_length(), n**exponent <
-    2**(exponent*b), so limbs of W = exponent * max(b, 16) + 1 bits never
-    carry; the top bit of each limb is a guard bit that stays clear, and
-    _unpacked() raises RuntimeError if one is set.  W depends on n only
-    through max(b, 16), so it grows only when n reaches 2**16, 2**17, ...;
-    that push unpacks every live column and repacks it wider.
+    n**exponent and that every sum a fold forms is a sum of nonnegative terms
+    of an entry after the letter it folds.  With b = n.bit_length(),
+    n**exponent < 2**(exponent*b), so limbs of W = exponent * max(b, 16) + 1
+    bits never carry; the top bit of each limb is a guard bit that stays
+    clear, and _unpacked() raises RuntimeError if one is set.  W depends on
+    n only through max(b, 16), so it grows only when n reaches 2**16,
+    2**17, ...; that letter's push unpacks every live column and repacks it
+    wider.
 
     A subclass builds a letter's plan with _plan(letter, live), which also
     validates the letter and returns the plan for columns that hold their
     values as the live mask says (see the module docstring), together with
     the mask the plan leaves.  The plan reads no column dead under live.
-    push and extend live here: push looks up the letter's cached
-    step, compares the new letter count with _event_at, calls the step on
-    the columns, and looks the next letter up in the table of the mask the
-    step returns; extend is the only loop over letters.  Each subclass
-    names push in its own class dict (push = PackedFold.push), so that a
-    tracer can wrap one fold's push without the other's.
-
-    _tables maps a live mask to its table of steps, one per letter, and
-    _steps is the table push looks in.  A step returns a mask, not a table,
-    so steps and tables hold no reference cycle.  Every step is built from
-    the plan for the mask it runs under, the one the previous letter left
-    (_ALL for the first letter), and returns the mask its plan leaves.  No
-    plan clears a column: one that dies is left stale.  No later step
+    No plan clears a column: one that dies is left stale.  No later plan
     reads it, because every plan reads only the columns live under the
     mask it was built for, and _unpacked reports it as 0 without unpacking
-    it.  A SeqFold leaves one mask per letter, so over k letters it builds
-    up to 1 + k**2 steps, and up to k**2 after the switch and after each
-    width step; a ParikhFold keeps every column live and stays at one step
-    per letter.  The plan is run by one of two executors:
+    it.  Each subclass names push in its own class dict
+    (push = PackedFold.push), so that a tracer can wrap one fold's push
+    without the other's.
 
-    - loop_step, a closure walking the plan's tuples, for the first
-      _LOOP_LETTERS = 1024 letters;
-    - generated_step, one straight-line function, from letter 1025 on.
+    push folds one letter through a loop_step, a closure walking the plan
+    built for the pair (mask the previous letter left, letter); _ALL is the
+    mask before the first letter.  _tables maps a live mask to its table of
+    steps, one per letter, and _steps is the table push looks in; a step
+    returns the mask its plan leaves, not a table, so steps and tables hold
+    no reference cycle.  A SeqFold leaves one mask per letter, so over k
+    letters it builds up to 1 + k**2 steps, and up to k**2 after each width
+    step; a ParikhFold keeps every column live and stays at one step per
+    letter.
 
-    Both compute the same matrix.  A generated step costs a compile:
-    ~0.03-0.06 ms per plan at block size d = 4 and ~0.11-0.2 ms at
-    d = 30 (2-core x86_64, CPython 3.11.7).  Words of a few letters, which
-    build many short-lived folds, would pay that for nothing.  On 20 000
-    random letters a SeqFold runs 1.26-1.42x faster with generated steps
-    than with loop steps alone.  Against one generated step per letter,
-    words of 1100 to 3000 letters fold 1.14-1.50x faster at d = 19-30 but
-    up to 1.18x slower at d = 4, where the compiles are not yet paid back.
+    extend(text) first validates the letters of text it has not seen: a
+    subclass names in _symbols the letters its _plan accepts, and only when
+    one is outside it does extend run _plan on them, the first in text
+    first, to raise its error.  So a raising extend leaves the fold as it
+    was.  It pushes the fold's first _LOOP_LETTERS = 1024 letters one by
+    one.  From letter 1025 on it folds text through one chunk_runner, built
+    from the plans of every letter seen so far under every mask they reach
+    from the current one: a k-letter SeqFold's runner inlines up to
+    (k + 1) * k plans, a ParikhFold's k.  The runner holds the columns in
+    locals, so a letter costs no call, no table lookup and no subscript.
+    It is rebuilt only after a width step, for a letter it has not seen,
+    or from a mask it does not reach, which a push of such a letter can
+    leave.  extend slices text at _event_at and pushes that letter alone,
+    so the width step goes through push.  A build costs 0.16-0.2 ms at
+    block size d = 4 and 0.7-0.9 ms at d = 30 over two or three letters
+    (2-core x86_64, CPython 3.11.7); short words, which build many
+    short-lived folds, would pay that for nothing.  extend pushes letter by
+    letter when text is not a str, or when the fold's class overrides or
+    wraps push, so that the override sees every letter.
 
     _event_at is the next letter count at which push calls _event: a width
-    step or the switch to generated steps, whichever comes first.  There
-    the tables are dropped and the letter's step is rebuilt for the new
-    width and form from the current mask; the columns are repacked only
-    when the width changes, a dead one as 0.
+    step.  There the tables and the runner are dropped and the letter's
+    step is rebuilt for the new width from the current mask; the columns
+    are repacked, a dead one as 0.
     """
 
     def __init__(self, exponent: int, limbs: int):
@@ -150,31 +206,29 @@ class PackedFold:
         self._exponent = exponent
         self._limbs = limbs
         self._n = 0  # letters pushed
+        self._letters: frozenset[str] = frozenset()  # validated by extend
         self._set_width(0, _ALL)
 
     def _set_width(self, n: int, live: int) -> None:
         """Limbs wide enough for every entry until the letter count reaches
-        the next power of two past n, the next event after n, and one empty
-        table, for live."""
+        the next power of two past n, the next event after n, one empty
+        table, for live, and no runner."""
         bits = _run_bits(n)
         self._w = self._exponent * bits + 1
-        # the switch lies behind n once passed; 0 means no further event
-        self._event_at = min(
-            (at for at in (1 << bits, _LOOP_LETTERS + 1) if at > n), default=0
-        )
+        self._event_at = 1 << bits  # none left if at most n
         self._tables: dict[int, dict[str, Step]] = {live: {}}
         self._steps = self._tables[live]
+        # (runner, index of each mask it reaches, the masks by index)
+        self._runner: tuple[Runner, dict[int, int], list[int]] | None = None
 
     def _live(self) -> int:
         """The live mask whose table push looks the next letter up in."""
         return next(live for live, table in self._tables.items() if table is self._steps)
 
     def _step(self, letter: str) -> Step:
-        """Validate letter, then build and cache its step in the form for
-        the letters pushed so far."""
+        """Validate letter, then build and cache its loop step."""
         plan, after = self._plan(letter, self._live())
-        form = loop_step if self._n < _LOOP_LETTERS else generated_step
-        step = self._steps[letter] = form(plan, after)
+        step = self._steps[letter] = loop_step(plan, after)
         self._tables.setdefault(after, {})
         return step
 
@@ -212,8 +266,50 @@ class PackedFold:
 
     def extend(self, letters: Iterable[str]) -> None:
         push = self.push
-        for letter in letters:
-            push(letter)
+        if not isinstance(letters, str) or type(self).push is not PackedFold.push:
+            for letter in letters:
+                push(letter)
+            return
+        new = set(letters).difference(self._letters)
+        if new:
+            if not self._symbols.issuperset(new):
+                # validate before anything changes, the first invalid letter first
+                for letter in sorted(new, key=letters.index):
+                    self._plan(letter, _ALL)
+            self._letters |= new
+            self._runner = None
+        start = 0
+        while start < len(letters):
+            n, event = self._n, self._event_at
+            if n >= _LOOP_LETTERS and n + 1 != event:
+                stop = start + event - n - 1 if event > n else len(letters)
+                self._run(letters[start:stop])
+            else:
+                stop = start + max(_LOOP_LETTERS - n, 1)
+                for letter in letters[start:stop]:
+                    push(letter)
+            start = stop
+
+    def _run(self, text: str) -> None:
+        """Fold text, which holds no width step, through the runner, built
+        first if there is none for the current mask."""
+        live = self._live()
+        if self._runner is None or live not in self._runner[1]:
+            index, masks, plans = {live: 0}, [live], []
+            for mask in masks:  # grows as plans reach new masks
+                row: dict[str, tuple[Plan, int]] = {}
+                plans.append(row)
+                for letter in sorted(self._letters):
+                    plan, after = self._plan(letter, mask)
+                    if after not in index:
+                        index[after] = len(masks)
+                        masks.append(after)
+                    row[letter] = plan, index[after]
+            self._runner = chunk_runner(plans, len(self._cols)), index, masks
+        run, index, masks = self._runner
+        after = masks[run(self._cols, text, index[live])]
+        self._n += len(text)
+        self._steps = self._tables.setdefault(after, {})
 
     def _event(self, n: int, letter: str) -> Step:
         """Repack every column, a dead one as 0, if n letters need wider

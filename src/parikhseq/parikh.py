@@ -73,6 +73,7 @@ class ParikhFold(PackedFold):
 
     def __init__(self, ctx: ParikhContext):
         self.ctx = ctx
+        self._symbols = frozenset(ctx.alphabet)  # the letters _plan accepts
         super().__init__(len(ctx.inducing), ctx.dim)
         self._cols = [1 << q * self._w for q in range(ctx.dim)]  # the identity
 

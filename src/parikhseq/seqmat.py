@@ -30,7 +30,7 @@ from typing import Iterable, Sequence, Union
 from .counting import fragment_counts
 from .intmat import IntMatrix
 from .packed import PackedFold, Plan
-from .words import GapPattern, PatternError, check_letter
+from .words import SYMBOL_CHARS, GapPattern, PatternError, check_letter
 
 # (block row, block column) of each named block in [[I,E,F],[0,C,S],[0,0,I]]
 BLOCKS = {"E": (0, 1), "F": (0, 2), "C": (1, 1), "S": (1, 2)}
@@ -194,7 +194,11 @@ class SeqFold(PackedFold):
     drawn uniformly, this cuts the int operations per letter, against
     plans that read every column and clear every column that dies, from
     5.0 to 3.5 for ab.b.ab and from 39.3 to 13.6 for a d = 30 pattern over
-    abc; the gain needs many middle columns outside B.
+    abc; the gain needs many middle columns outside B.  The plan walks
+    only the flat positions holding the letter, listed per fold once, and
+    starts its mask from the columns every letter leaves live.  push runs
+    one plan per letter; extend inlines them all into one generated chunk
+    runner per width from letter 1025 on (see PackedFold).
     """
 
     def __init__(self, pattern: GapPattern):
@@ -205,23 +209,30 @@ class SeqFold(PackedFold):
         # the empty word: C is the identity, everything else zero
         w = self._w
         self._cols = [0] + [1 << (d + j - 1) * w for j in range(1, d + 1)] + [0] * d
-        self._right = (1 << 2 * d + 1) - (1 << d + 1)  # right columns, always live
+        # the columns every letter leaves live: the right ones and the
+        # middle ones in B
+        self._kept = (1 << 2 * d + 1) - (1 << d + 1) + sum(1 << j for j in pattern.boundaries)
+        self._at: dict[str, list[int]] = {}  # a letter's flat positions, highest first
+        for p in range(d, -1, -1):
+            self._at.setdefault(pattern.flat[p], []).append(p)
 
     def _plan(self, letter: str, live: int) -> tuple[Plan, int]:
         check_letter(letter, "invalid letter {!r}")
-        flat, b, d, w = self.pattern.flat, self.pattern.boundaries, self._d, self._w
-        tails, steps, after = [], [], self._right
-        for j in range(d, 0, -1):
-            if flat[j] == letter and live >> j & 1:
-                tails.append((d + j, j))
-            if flat[j - 1] == letter:
-                src = j - 1 if live >> j - 1 & 1 else None
-                steps.append((j, src, j in b, 1 << (j - 1) * w))
-                after |= 1 << j
-            elif j in b:
-                after |= 1 << j
+        d, w, kept = self._d, self._w, self._kept
+        tails, steps, after = [], [], kept
+        for p in self._at.get(letter, ()):
+            # flat letter p+1 is the letter: middle column p, if live, is
+            # added to right column p, and middle column p+1 takes column
+            # p (kept if p+1 is in B, whose bits kept holds)
+            if p and live >> p & 1:
+                tails.append((d + p, p))
+            if p < d:
+                src = p if live >> p & 1 else None
+                steps.append((p + 1, src, kept >> p + 1 & 1 == 1, 1 << p * w))
+                after |= 1 << p + 1
         return (tuple(tails), tuple(steps)), after
 
+    _symbols = SYMBOL_CHARS  # the letters _plan accepts
     push = PackedFold.push
 
     def result(self) -> SeqMatrix:

@@ -10,8 +10,7 @@ runs itself (`piece`, `block_piece`) and counts it on its own with
 The witness fold renders factor indices as letters and folds their Parikh
 matrix, the oracle for `parikhseq.minors.witness_parikh_matrix`, which
 counts on the indices directly.  The small accessors after them (identity matrix, matrix cell
-diff, symbol index, pattern letter, induced Parikh context, the forms of a
-fold's cached steps, single-letter and factor matrices, the JSON matrix
+diff, symbol index, pattern letter, induced Parikh context, single-letter and factor matrices, the JSON matrix
 reader, the triangularity test) serve only test code.  The generalized subword history helpers at
 the end are the ground shuffle, the interleaving test, the junction
 reduction by enumeration of joint placements, the oracle for
@@ -36,7 +35,6 @@ from parikhseq.gsh import (
     words_up_to,
 )
 from parikhseq.intmat import IntMatrix
-from parikhseq.packed import PackedFold
 from parikhseq.parikh import ParikhContext, parikh_matrix, subword_matrix
 from parikhseq.seqmat import (
     BLOCKS,
@@ -245,17 +243,6 @@ def induced_by(inducing: str, alphabet: Alphabet | None = None) -> ParikhContext
 
 def is_classic(ctx: ParikhContext) -> bool:
     return ctx.inducing == ctx.alphabet.concat()
-
-
-def step_forms(fold: PackedFold) -> set[str]:
-    """The form of each step the fold has cached, in every table: "loop" (a
-    closure over its plan) or "generated" (no free variables; units are
-    globals)."""
-    return {
-        "loop" if s.__closure__ else "generated"
-        for table in fold._tables.values()
-        for s in table.values()
-    }
 
 
 def letter_matrix(ctx: ParikhContext, letter: str) -> IntMatrix:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import enum_subword, identity, induced_by, is_classic, letter_matrix, step_forms
+from oracles import enum_subword, identity, induced_by, is_classic, letter_matrix
 from parikhseq import packed
 from parikhseq.counting import count_subword
 from parikhseq.intmat import IntMatrix
@@ -157,13 +157,14 @@ class TestPackedColumns:
         w = "".join(rng.choice(ctx.alphabet.concat()) for _ in range(2**16 + 5))
         fold = ParikhFold(ctx)
         fold.extend(w[: 2**16 - 1])
-        assert step_forms(fold) == {"generated"}  # the widen rebuilds generated steps
+        assert fold._runner is not None
         early = fold.result()
         assert early == parikh_matrix_direct(ctx, w[: 2**16 - 1])
         fold.push(w[2**16 - 1])
-        assert step_forms(fold) == {"generated"}
+        assert fold._runner is None  # the widen drops the runner ...
         assert fold.result() == parikh_matrix_direct(ctx, w[: 2**16])
         fold.extend(w[2**16 :])
+        assert fold._runner is not None  # ... and the next string rebuilds it
         final = fold.result()
         assert final == parikh_matrix_direct(ctx, w)
         assert final.entry(1, len(inducing) + 1) == count_subword(w, inducing)
@@ -199,10 +200,12 @@ class TestPackedColumns:
 
 
 class TestGeneratedSteps:
-    """A fold walks each letter's plan for its first packed._LOOP_LETTERS
-    letters, then runs one generated function per letter."""
+    """A fold pushes its first packed._LOOP_LETTERS letters one by one,
+    walking each letter's plan; from letter 1025 on, extend folds each
+    string through one generated chunk runner that inlines every letter's
+    plan."""
 
-    SWITCH = packed._LOOP_LETTERS + 1  # the push that generates the steps
+    SWITCH = packed._LOOP_LETTERS + 1  # the first letter a runner folds
 
     @pytest.mark.parametrize("inducing", ["ab", "abcba"])
     def test_fold_equals_direct_around_the_switch(self, inducing):
@@ -212,10 +215,10 @@ class TestGeneratedSteps:
         fold = ParikhFold(ctx)
         done = 0
         # just before, at and past the switch
-        for n, form in ((self.SWITCH - 1, "loop"), (self.SWITCH, "generated"), (len(w), "generated")):
+        for n, runs in ((self.SWITCH - 1, False), (self.SWITCH, True), (len(w), True)):
             fold.extend(w[done:n])
             done = n
-            assert step_forms(fold) == {form}
+            assert (fold._runner is not None) == runs
             assert fold.result() == parikh_matrix_direct(ctx, w[:n])
 
     def test_guard_bit_raises_after_the_switch(self, monkeypatch):
@@ -227,7 +230,7 @@ class TestGeneratedSteps:
         w = "c" * self.SWITCH + "ab" * 5
         fold = ParikhFold(ctx)
         fold.extend(w)
-        assert step_forms(fold) == {"generated"}
+        assert fold._runner is not None
         assert fold.result() == parikh_matrix_direct(ctx, w)
         fold.extend("ab")
         with pytest.raises(RuntimeError, match="overflowed"):
@@ -235,23 +238,26 @@ class TestGeneratedSteps:
 
     @pytest.mark.parametrize("inducing", ["ab", "abcba"])
     def test_one_step_per_letter(self, inducing):
-        # no update clears a column, so every column stays live and the
-        # fold keeps one table, with one step per letter pushed, in both
-        # forms
+        # no update clears a column, so every column stays live: the fold
+        # keeps one table, with one step per letter pushed, and past the
+        # switch its runner reaches no mask but _ALL
         ctx = ParikhContext(ABC, inducing)
-        for length, form in ((40, "loop"), (self.SWITCH + 200, "generated")):
+        for length in (40, self.SWITCH + 200):
             rng = random.Random(28)
             w = "".join(rng.choice("abc") for _ in range(length))
             fold = ParikhFold(ctx)
             fold.extend(w)
             assert list(fold._tables) == [packed._ALL]
-            assert sorted(fold._steps) == sorted(set(w))
-            assert step_forms(fold) == {form}
+            assert sorted(fold._steps) == sorted(set(w[: packed._LOOP_LETTERS]))
+            if length >= self.SWITCH:
+                assert fold._runner[2] == [packed._ALL]
             assert fold.result() == parikh_matrix_direct(ctx, w)
 
     @pytest.mark.parametrize("length", [SWITCH - 1, SWITCH + 10])
     def test_invalid_letter_leaves_state(self, length):
-        # at SWITCH - 1 letters the rejected push would have been the switch
+        # at SWITCH - 1 letters the rejected push would have been the
+        # runner's first letter; extend checks every letter of its string
+        # before it folds any
         ctx = ParikhContext.classic(ABC)
         rng = random.Random(27)
         w = "".join(rng.choice("abc") for _ in range(length))
@@ -262,6 +268,27 @@ class TestGeneratedSteps:
             with pytest.raises(PatternError):
                 fold.push(letter)
             assert fold.result() == before
+        with pytest.raises(PatternError, match="'z'"):
+            fold.extend("abc" * 20 + "z")
+        assert fold.result() == before
         fold.extend("cba")
-        assert step_forms(fold) == {"generated"}
+        assert fold._runner is not None
+        assert fold.result() == parikh_matrix_direct(ctx, w + "cba")
+
+    @pytest.mark.parametrize("length", [5, SWITCH + 10])
+    def test_invalid_chunk_leaves_state(self, length):
+        # extend checks every letter of its string against the alphabet
+        # before it folds any, in both phases, and names the first letter
+        # of the string outside it
+        ctx = ParikhContext.classic(ABC)
+        rng = random.Random(29)
+        w = "".join(rng.choice("abc") for _ in range(length))
+        fold = ParikhFold(ctx)
+        fold.extend(w)
+        before = fold.result()
+        with pytest.raises(PatternError, match="'z'"):
+            fold.extend("abc" * 20 + "zy")
+        assert fold._n == length
+        assert fold.result() == before
+        fold.extend("cba")
         assert fold.result() == parikh_matrix_direct(ctx, w + "cba")

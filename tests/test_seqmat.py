@@ -1,5 +1,6 @@
 import copy
 import gc
+import math
 import random
 
 import pytest
@@ -16,7 +17,6 @@ from oracles import (
     is_upper_triangular,
     seq_matrix_cells,
     seq_matrix_letter,
-    step_forms,
 )
 from parikhseq import packed
 from parikhseq.counting import count_gapped, fragment_counts
@@ -333,13 +333,14 @@ class TestPackedColumns:
         w = "".join(rng.choice("ab") for _ in range(2**16 + 5))
         fold = SeqFold(q)
         fold.extend(w[: 2**16 - 1])
-        assert step_forms(fold) == {"generated"}  # the widen rebuilds generated steps
+        assert fold._runner is not None
         early = fold.result()
         assert early == seq_matrix_direct(q, w[: 2**16 - 1])
         fold.push(w[2**16 - 1])
-        assert step_forms(fold) == {"generated"}
+        assert fold._runner is None  # the widen drops the runner ...
         assert fold.result() == seq_matrix_direct(q, w[: 2**16])
         fold.extend(w[2**16 :])
+        assert fold._runner is not None  # ... and the next string rebuilds it
         assert fold.result() == seq_matrix_direct(q, w)
         # a result taken before the columns were repacked stays as it was
         assert early == seq_matrix_direct(q, w[: 2**16 - 1])
@@ -374,12 +375,14 @@ class TestPackedColumns:
 
 class TestGeneratedSteps:
     """A fold builds each letter's plan for the mask the previous letter
-    left, walks it for its first packed._LOOP_LETTERS letters and then runs
-    it as one generated function: in both forms a step reads only live
+    left.  push walks it for one letter, and so does extend for the first
+    packed._LOOP_LETTERS letters; from letter 1025 on, extend folds each
+    string through one generated chunk runner that inlines the plans of
+    every letter under every mask.  In both forms a plan reads only live
     columns, clears nothing, and result() reports the stale dead columns
     as 0."""
 
-    SWITCH = packed._LOOP_LETTERS + 1  # the push that generates the steps
+    SWITCH = packed._LOOP_LETTERS + 1  # the first letter a runner folds
 
     # c is absent from the last; a.a.a has consecutive boundaries (every
     # column in B); aa.a has a one-letter flat
@@ -393,22 +396,24 @@ class TestGeneratedSteps:
         fold = SeqFold(q)
         done = 0
         # just before, at and past the switch
-        for n, form in ((self.SWITCH - 1, "loop"), (self.SWITCH, "generated"), (len(w), "generated")):
+        for n, runs in ((self.SWITCH - 1, False), (self.SWITCH, True), (len(w), True)):
             fold.extend(w[done:n])
             done = n
-            assert step_forms(fold) == {form}
+            assert (fold._runner is not None) == runs
             assert fold.result() == seq_matrix_direct(q, w[:n])
 
     def test_thirty_one_runs_past_the_switch(self):
         # W = 31 * 16 + 1 bits, so the unit of E's row 30 is
-        # 1 << 29 * 497, which has over 4300 decimal digits: a generated
-        # step binds it as a default instead of printing it
+        # 1 << 29 * 497, which has over 4300 decimal digits: the runner
+        # binds it as a global instead of printing it
         q = GapPattern(tuple("ab" * 15 + "a"))
         rng = random.Random(40)
         w = "".join(rng.choice("ab") for _ in range(self.SWITCH + 5))
         fold = SeqFold(q)
         fold.extend(w)
-        assert step_forms(fold) == {"generated"}
+        units = [v for v in fold._runner[0].__globals__.values() if isinstance(v, int)]
+        assert max(units) == 1 << 29 * 497
+        assert 29 * 497 * math.log10(2) > 4300
         assert fold.result() == seq_matrix_direct(q, w)
 
     def test_guard_bit_raises_after_the_switch(self, monkeypatch):
@@ -419,7 +424,7 @@ class TestGeneratedSteps:
         w = "b" * self.SWITCH + "ababab"
         fold = SeqFold(q)
         fold.extend(w)
-        assert step_forms(fold) == {"generated"}
+        assert fold._runner is not None
         assert fold.result() == seq_matrix_direct(q, w)
         fold.extend("ab")
         with pytest.raises(RuntimeError, match="overflowed"):
@@ -428,7 +433,8 @@ class TestGeneratedSteps:
     @pytest.mark.parametrize("length", [SWITCH - 1, SWITCH + 10])
     @pytest.mark.parametrize("letter", ["!", "ab", "", None])
     def test_invalid_letter_leaves_state(self, length, letter):
-        # at SWITCH - 1 letters the rejected push would have been the switch
+        # at SWITCH - 1 letters the rejected push would have been the
+        # runner's first letter
         rng = random.Random(41)
         w = "".join(rng.choice("abc") for _ in range(length))
         fold = SeqFold(AB_C)
@@ -438,21 +444,42 @@ class TestGeneratedSteps:
             fold.push(letter)
         assert fold.result() == before
         fold.extend("cba")
-        assert step_forms(fold) == {"generated"}
+        assert fold._runner is not None
+        assert fold.result() == seq_matrix_direct(AB_C, w + "cba")
+
+    @pytest.mark.parametrize("length", [5, SWITCH - 1, SWITCH + 10])
+    def test_invalid_chunk_leaves_state(self, length):
+        # extend checks every letter of its string before it folds any, in
+        # both phases; the string would run across the switch from
+        # SWITCH - 1 letters
+        rng = random.Random(47)
+        w = "".join(rng.choice("abc") for _ in range(length))
+        fold = SeqFold(AB_C)
+        fold.extend(w)
+        before, runner = fold.result(), fold._runner
+        with pytest.raises(PatternError, match="'!'"):
+            fold.extend("cab" * 20 + "!" + "ba")
+        assert fold._n == length
+        assert fold._runner is runner
+        assert fold.result() == before
+        fold.extend("cba")
         assert fold.result() == seq_matrix_direct(AB_C, w + "cba")
 
     @pytest.mark.parametrize("pattern", PATTERNS)
     def test_steps_read_only_live_columns_and_clear_nothing(self, pattern):
         # every column dead after the last letter is set to None, which no
-        # step can add or read; a step that read one would raise, and a
+        # plan can add or read; a plan that read one would raise, and a
         # clear would overwrite a None or a column that dies.  A letter's
-        # mask depends on the letter alone, so _plan(letter, _ALL) gives it
+        # mask depends on the letter alone, so _plan(letter, _ALL) gives it.
+        # One-letter strings run a loop step at 40 letters and the runner
+        # past the switch
         q = GapPattern.parse(pattern)
-        for length, form in ((40, "loop"), (self.SWITCH + 50, "generated")):
+        for length in (40, self.SWITCH + 50):
             rng = random.Random(43)
             w = "".join(rng.choice("abc") for _ in range(length))
             fold = SeqFold(q)
             fold.extend(w)
+            assert (fold._runner is not None) == (length >= self.SWITCH)
             for p in "abc":
                 fold.push(p)
                 w += p
@@ -461,13 +488,12 @@ class TestGeneratedSteps:
                     probe = copy.copy(fold)
                     probe._cols = [col if live >> i & 1 else None for i, col in enumerate(fold._cols)]
                     before = list(probe._cols)
-                    probe.push(x)
+                    probe.extend(x)
                     after = probe._plan(x, packed._ALL)[1]
                     for i, (old, new) in enumerate(zip(before, probe._cols)):
                         if not after >> i & 1:
                             assert new is old  # left stale, not cleared
                     assert probe.result() == seq_matrix_direct(q, w + x)
-            assert step_forms(fold) == {form}
 
     def test_loop_phase_keeps_one_table_per_mask(self):
         # over k = 3 letters a loop-phase fold meets _ALL and one mask per
@@ -478,7 +504,7 @@ class TestGeneratedSteps:
         w = "".join(rng.choice("abc") for _ in range(200))
         fold = SeqFold(q)
         fold.extend(w)
-        assert step_forms(fold) == {"loop"}
+        assert fold._runner is None
         masks = {fold._plan(p, packed._ALL)[1] for p in "abc"}
         assert set(fold._tables) == {packed._ALL} | masks
         assert list(fold._tables[packed._ALL]) == [w[0]]
@@ -490,31 +516,103 @@ class TestGeneratedSteps:
         assert fold.result() == seq_matrix_direct(q, w)
 
     def test_width_step_keeps_the_previous_mask(self):
-        # the push to 2**16 letters repacks the columns, dead ones as 0,
-        # and rebuilds its step for the mask the previous letter left, not
-        # for _ALL, whose table no later letter would look in
+        # the width step at 2**16 letters falls inside one extend string:
+        # its letter goes through push, which repacks the columns, dead ones
+        # as 0, and rebuilds the letter's step for the mask the previous
+        # letter left, not for _ALL, whose table no later letter would look
+        # in; a new runner folds the rest of the string from the mask that
+        # step leaves
         q = GapPattern.parse("abbabaabbaababbabaababbabaab.abb")
         rng = random.Random(44)
         w = "".join(rng.choice("abc") for _ in range(2**16 + 3))
         fold = SeqFold(q)
-        fold.extend(w[: 2**16 - 1])
-        live = fold._live()
-        assert live == fold._plan(w[2**16 - 2], packed._ALL)[1]
+        fold.extend(w[: 2**16 - 5])
         early = fold.result()
-        assert early == seq_matrix_direct(q, w[: 2**16 - 1])
-        fold.push(w[2**16 - 1])
+        assert early == seq_matrix_direct(q, w[: 2**16 - 5])
+        fold.extend(w[2**16 - 5 :])
+        live = fold._plan(w[2**16 - 2], packed._ALL)[1]
         assert list(fold._tables[live]) == [w[2**16 - 1]]
         assert packed._ALL not in fold._tables
-        assert fold._live() == fold._plan(w[2**16 - 1], live)[1]
-        assert step_forms(fold) == {"generated"}
-        assert fold.result() == seq_matrix_direct(q, w[: 2**16])
-        fold.extend(w[2**16 :])
+        assert fold._runner[2][0] == fold._plan(w[2**16 - 1], live)[1]
+        assert fold._live() == fold._plan(w[-1], packed._ALL)[1]
         assert fold.result() == seq_matrix_direct(q, w)
-        assert early == seq_matrix_direct(q, w[: 2**16 - 1])
+        assert early == seq_matrix_direct(q, w[: 2**16 - 5])
+
+    def test_push_after_extend_and_extend_after_push(self):
+        # the runner leaves push the table of its final mask, and a runner
+        # starts from the mask push left
+        q = GapPattern.parse("abc.ca.bc.ab.c")
+        rng = random.Random(48)
+        w = "".join(rng.choice("abc") for _ in range(self.SWITCH + 100))
+        fold = SeqFold(q)
+        fold.extend(w[: self.SWITCH + 20])
+        mask = fold._plan(w[self.SWITCH + 19], packed._ALL)[1]
+        assert fold._steps is fold._tables[mask]
+        for letter in w[self.SWITCH + 20 : self.SWITCH + 40]:
+            fold.push(letter)
+        assert fold.result() == seq_matrix_direct(q, w[: self.SWITCH + 40])
+        fold.extend(w[self.SWITCH + 40 :])
+        assert fold._steps is fold._tables[fold._plan(w[-1], packed._ALL)[1]]
+        assert fold.result() == seq_matrix_direct(q, w)
+
+    def test_new_letter_in_a_later_chunk_rebuilds_the_runner(self):
+        q = GapPattern.parse("abc.ca.bc.ab.c")
+        rng = random.Random(49)
+        w = "".join(rng.choice("ab") for _ in range(self.SWITCH + 100))
+        fold = SeqFold(q)
+        fold.extend(w)
+        runner = fold._runner
+        fold.extend("abba")
+        assert fold._runner is runner  # no new letter, no rebuild
+        fold.push("c")  # leaves a mask the runner does not reach
+        fold.extend("abba")
+        assert fold._runner is not runner
+        assert fold._letters == {"a", "b"}
+        runner = fold._runner
+        fold.extend("abcab")
+        assert fold._runner is not runner
+        assert fold._letters == {"a", "b", "c"}
+        assert fold.result() == seq_matrix_direct(q, w + "abba" + "c" + "abba" + "abcab")
+
+    def test_overridden_push_sees_every_letter(self):
+        # a subclass or wrapper of push, like the benchmark's tracer, makes
+        # extend push letter by letter, so it sees every letter
+        seen = []
+
+        class Watched(SeqFold):
+            def push(self, letter):
+                seen.append(letter)
+                super().push(letter)
+
+        q = GapPattern.parse("ab.ba.ab")
+        rng = random.Random(50)
+        w = "".join(rng.choice("ab") for _ in range(self.SWITCH + 100))
+        fold = Watched(q)
+        fold.extend(w)
+        assert "".join(seen) == w
+        assert fold._runner is None
+        assert fold.result() == seq_matrix_direct(q, w)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_random_chunkings_equal_direct(self, data):
+        # chunks shorter than 1024 letters, chunks across the switch and
+        # chunks wholly past it, each run through extend
+        pattern = data.draw(st.sampled_from(["abc.ca.bc.ab.c", *self.PATTERNS]))
+        seed = data.draw(st.integers(0, 2**16))
+        length = data.draw(st.integers(0, self.SWITCH + 400))
+        cuts = sorted(data.draw(st.lists(st.integers(0, length), max_size=6)))
+        rng = random.Random(seed)
+        w = "".join(rng.choice("abc") for _ in range(length))
+        q = GapPattern.parse(pattern)
+        fold = SeqFold(q)
+        for i, j in zip([0, *cuts], [*cuts, length]):
+            fold.extend(w[i:j])
+        assert fold.result() == seq_matrix_direct(q, w)
 
     def test_dropped_fold_leaves_no_cyclic_garbage(self):
-        # a generated step is taken out of the globals it was defined in,
-        # and a step returns a mask, not a table: dropping the fold frees
+        # the runner is taken out of the globals it was defined in, and a
+        # step returns a mask, not a table: dropping the fold frees
         # everything by reference counting alone
         q = GapPattern.parse("abcabcabcabcabcabcabcabcabca.bca")
         rng = random.Random(45)
@@ -524,7 +622,7 @@ class TestGeneratedSteps:
         try:
             fold = SeqFold(q)
             fold.extend(w)
-            assert step_forms(fold) == {"generated"}
+            assert fold._runner is not None
             del fold
             assert gc.collect() == 0
         finally:
